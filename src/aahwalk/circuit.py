@@ -170,34 +170,22 @@ def gate_matrix_1q(gate: Gate) -> np.ndarray:
     raise ValueError(f"not a single-qubit primitive: {gate.kind}")
 
 
-def _embed_1q(m: np.ndarray, q: int, L: int) -> np.ndarray:
-    full = np.array([[1.0]], dtype=complex)
-    for i in range(L - 1, -1, -1):
-        full = np.kron(full, m if i == q else np.eye(2, dtype=complex))
-    return full
-
-
-def _cnot_matrix(control: int, target: int, L: int) -> np.ndarray:
-    dim = 2**L
-    idx = np.arange(dim)
-    flipped = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[flipped, idx] = 1.0
-    return m
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit (application order), L <= 6 only."""
+    """Dense unitary of a circuit (application order), L <= 6 only.
+
+    Applies the statevector engine's kernels to every basis column at once.
+    """
+    from .engine import _apply_1q, _apply_cnot  # engine imports this module
+
     if circuit.L > MAX_UNITARY_SITES:
         raise ResourceLimitError(f"circuit_unitary limited to L <= {MAX_UNITARY_SITES}")
     c = circuit if circuit.is_lowered() else lower(circuit)
     U = np.eye(2**c.L, dtype=complex)
     for g in c.gates:
         if g.kind == KIND_CNOT:
-            m = _cnot_matrix(g.qubits[0], g.qubits[1], c.L)
+            _apply_cnot(U, g.qubits[0], g.qubits[1])
         else:
-            m = _embed_1q(gate_matrix_1q(g), g.qubits[0], c.L)
-        U = m @ U
+            _apply_1q(U, gate_matrix_1q(g), g.qubits[0])
     return U
 
 

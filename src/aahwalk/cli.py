@@ -33,8 +33,6 @@ def _load_config(path: str, args) -> "ExperimentConfig":
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     cfg = config_from_dict(data)

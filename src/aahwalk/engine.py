@@ -1,7 +1,8 @@
 """Statevector kernels: gate application, Z expectations, shot sampling.
 
-Bitstring rendering in CountsTable is site-0-first: character k of a key
-is the state of site k, so |00100> (site 2 occupied, basis index 4)
+Measured outcomes are basis indices (bit i = site i).  Only the JSON
+rendering of a CountsTable uses bit strings, site-0-first: character k of
+a key is the state of site k, so |00100> (site 2 occupied, basis index 4)
 renders as "00100".
 """
 
@@ -21,16 +22,19 @@ RNG_ALGORITHM = "numpy-default-pcg64"
 
 @dataclass
 class CountsTable:
-    """Measured bitstring histogram; keys are site-0-first strings."""
+    """Measured histogram: sorted unique basis indices and the count of each."""
 
     shots: int
-    counts: dict[str, int]
+    indices: np.ndarray
+    counts: np.ndarray
     L: int
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({"shots": self.shots, "counts": self.counts,
+        keyed = {index_to_bitstring(int(i), self.L): int(c)
+                 for i, c in zip(self.indices, self.counts)}
+        return json.dumps({"shots": self.shots, "counts": keyed,
                            "seed": self.seed}, sort_keys=True)
 
 
@@ -42,8 +46,9 @@ def bitstring_to_index(key: str) -> int:
     return sum(1 << i for i, c in enumerate(key) if c == "1")
 
 
+# The kernels index axis 0, so on a 2-D array they act on every column.
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> None:
-    idx = np.arange(amps.size)
+    idx = np.arange(len(amps))
     lo = idx[(idx >> q) & 1 == 0]
     hi = lo | (1 << q)
     a, b = amps[lo], amps[hi]
@@ -52,7 +57,7 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> None:
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    idx = np.arange(amps.size)
+    idx = np.arange(len(amps))
     src = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
     dst = src | (1 << target)
     amps[src], amps[dst] = amps[dst].copy(), amps[src].copy()
@@ -91,10 +96,8 @@ def counts_expectation_z(counts: CountsTable, site: int) -> float:
     """<Z_site> estimated from a counts table."""
     if not 0 <= site < counts.L:
         raise IndexError(f"site {site} out of range [0, {counts.L - 1}]")
-    total = 0
-    for key, c in counts.counts.items():
-        total += c if key[site] == "0" else -c
-    return total / counts.shots
+    bits = (counts.indices >> site) & 1
+    return int(np.sum(counts.counts * (1 - 2 * bits))) / counts.shots
 
 
 def sample_counts(psi: StateVector, shots: int, seed: int) -> CountsTable:
@@ -105,7 +108,6 @@ def sample_counts(psi: StateVector, shots: int, seed: int) -> CountsTable:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {index_to_bitstring(i, psi.L): int(n)
-              for i, n in enumerate(draws) if n > 0}
-    return CountsTable(shots, counts, psi.L, seed,
+    indices = np.flatnonzero(draws)
+    return CountsTable(shots, indices, draws[indices], psi.L, seed,
                        {"rng": RNG_ALGORITHM})

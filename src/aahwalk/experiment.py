@@ -8,7 +8,6 @@ import math
 import os
 import tempfile
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +68,14 @@ class ExperimentConfig:
             raise ConfigError("initial_occupations: need at least one particle")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.t_max < 0:
-            raise ConfigError(f"t_max: must be >= 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ConfigError(f"t_max: must be finite and >= 0, got {self.t_max}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown {self.scheme!r}, expected one of {SCHEMES}")
         if self.shots < 0:
             raise ConfigError(f"shots: must be >= 0, got {self.shots}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mitigation and (self.readout is None or self.shots == 0):
             raise ConfigError("mitigation: requires readout present and shots > 0")
         for name in self.outputs:
@@ -124,6 +125,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         readout = ReadoutModel(p01, p10)
     if "initial_occupations" not in d:
         raise ConfigError("initial_occupations: missing")
+    for key, kinds, what in (("steps", int, "an integer"), ("shots", int, "an integer"),
+                             ("seed", int, "an integer"), ("t_max", (int, float), "a number")):
+        v = d.get(key, 0)
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ConfigError(f"{key}: expected {what}, got {v!r}")
     cfg = ExperimentConfig(
         model=model,
         initial_occupations=list(d["initial_occupations"]),
@@ -216,7 +222,7 @@ def run(config: ExperimentConfig) -> RunRecord:
             model = config.readout if src == SOURCE_TROTTER_MITIGATED else None
             profiles[src].append(density_profile(state, t, src, model=model))
             if want_corr:
-                correlations[src].append(correlation(state, t, src))
+                correlations[src].append(correlation(state, t, src, model=model))
 
     series: dict[str, dict[str, list[float]]] = {}
     for src in sources:
@@ -253,26 +259,16 @@ def run(config: ExperimentConfig) -> RunRecord:
 SWEEP_AXES = ("lambda_J", "phi_J", "V")
 
 
-def sweep(base: ExperimentConfig, axis: str, values: list[float],
-          max_workers: int | None = None) -> list[RunRecord]:
+def sweep(base: ExperimentConfig, axis: str, values: list[float]) -> list[RunRecord]:
     """One independent run per value; per-value seed = base seed + index."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     for v in values:
         if not math.isfinite(v):
             raise ConfigError(f"sweep value {v} is not finite")
-    configs = []
-    for i, v in enumerate(values):
-        cfg = dataclasses.replace(
-            base,
-            model=dataclasses.replace(base.model, **{axis: v}),
-            seed=base.seed + i,
-        )
-        configs.append(cfg)
-    if not configs:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers or min(4, len(configs))) as pool:
-        return list(pool.map(run, configs))
+    return [run(dataclasses.replace(base, seed=base.seed + i,
+                                    model=dataclasses.replace(base.model, **{axis: v})))
+            for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def _density_csv(record: RunRecord) -> str:
     for src in sorted(record.profiles):
         for step, prof in enumerate(record.profiles[src]):
             for site, val in enumerate(prof.values):
-                lines.append(f"{step},{prof.time!r},{site},{val!r},{src}")
+                lines.append(f"{step},{prof.time!r},{site},{float(val)!r},{src}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,7 +316,7 @@ def _correlation_csv(record: RunRecord) -> str:
             L = mat.values.shape[0]
             for i in range(L):
                 for j in range(L):
-                    lines.append(f"{mat.time!r},{i},{j},{mat.values[i, j]!r},{src}")
+                    lines.append(f"{mat.time!r},{i},{j},{float(mat.values[i, j])!r},{src}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,30 +361,28 @@ def _cfg(L, occ, lam, phi=0.0, V=0.0, t_max=5.0, steps=10, outputs=None,
     )
 
 
+_PRESETS = {
+    "fig3": lambda: [_cfg(10, [0], lam) for lam in (0.1, 0.5, 0.9)],
+    "fig4": lambda: [_cfg(10, [0], round(0.1 * k, 1)) for k in range(10)],
+    "fig5": lambda: [_cfg(5, [0], 0.9, phi=p) for p in (0.0, math.pi / 2, math.pi)],
+    "fig6": lambda: [_cfg(5, [4], 0.9, phi=p) for p in (0.0, math.pi / 2, math.pi)],
+    "fig7": lambda: [_cfg(7, [0, 6], 0.9), _cfg(8, [0, 7], 0.9)],
+    "fig8": lambda: [_cfg(10, [5], 0.0), _cfg(10, [5], 0.5),
+                     _cfg(10, [5], 0.9), _cfg(10, [5], 0.9, phi=math.pi / 2)],
+    "fig9": lambda: [_cfg(7, [0, 3], 0.9, V=v) for v in (0.0, 1.0, 2.0)],
+    "fig10": lambda: [_cfg(8, [3, 4], 0.0), _cfg(8, [3, 4], 0.5),
+                      _cfg(8, [3, 4], 0.9), _cfg(8, [3, 4], 0.9, V=2.0)],
+    "fig12": lambda: [_cfg(8, [3, 4], lam, V=v, t_max=3.0,
+                           outputs=["density", "correlation"])
+                      for lam, v in ((0.0, 0.0), (0.5, 0.0), (0.9, 0.0), (0.9, 2.0))],
+    "fig13": lambda: [_cfg(8, [3, 4], lam, V=v, t_max=3.0,
+                           outputs=["density", "S2"])
+                      for lam, v in ((0.0, 0.0), (0.5, 0.0), (0.9, 0.0), (0.9, 2.0))],
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset_configs(name: str) -> list[ExperimentConfig]:
-    pi = math.pi
-    presets = {
-        "fig3": lambda: [_cfg(10, [0], lam) for lam in (0.1, 0.5, 0.9)],
-        "fig4": lambda: [_cfg(10, [0], round(0.1 * k, 1)) for k in range(10)],
-        "fig5": lambda: [_cfg(5, [0], 0.9, phi=p) for p in (0.0, pi / 2, pi)],
-        "fig6": lambda: [_cfg(5, [4], 0.9, phi=p) for p in (0.0, pi / 2, pi)],
-        "fig7": lambda: [_cfg(7, [0, 6], 0.9), _cfg(8, [0, 7], 0.9)],
-        "fig8": lambda: [_cfg(10, [5], 0.0), _cfg(10, [5], 0.5),
-                         _cfg(10, [5], 0.9), _cfg(10, [5], 0.9, phi=pi / 2)],
-        "fig9": lambda: [_cfg(7, [0, 3], 0.9, V=v) for v in (0.0, 1.0, 2.0)],
-        "fig10": lambda: [_cfg(8, [3, 4], 0.0), _cfg(8, [3, 4], 0.5),
-                          _cfg(8, [3, 4], 0.9), _cfg(8, [3, 4], 0.9, V=2.0)],
-        "fig12": lambda: [_cfg(8, [3, 4], lam, V=v, t_max=3.0,
-                               outputs=["density", "correlation"])
-                          for lam, v in ((0.0, 0.0), (0.5, 0.0), (0.9, 0.0), (0.9, 2.0))],
-        "fig13": lambda: [_cfg(8, [3, 4], lam, V=v, t_max=3.0,
-                               outputs=["density", "S2"])
-                          for lam, v in ((0.0, 0.0), (0.5, 0.0), (0.9, 0.0), (0.9, 2.0))],
-    }
-    if name not in presets:
-        raise ConfigError(f"unknown preset {name!r}; available: {sorted(presets)}")
-    return presets[name]()
-
-
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-                "fig10", "fig12", "fig13")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
+    return _PRESETS[name]()

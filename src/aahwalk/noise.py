@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CountsTable, bitstring_to_index, counts_expectation_z, index_to_bitstring
+from .engine import CountsTable, counts_expectation_z
 from .errors import NonInvertibleChannelError, ResourceLimitError
 
 MAX_FULL_MITIGATION_SITES = 12
@@ -38,20 +38,17 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed: int) -> CountsTable:
     L = counts.L
     p01, p10 = model.rates(L)
     rng = np.random.default_rng(seed)
+    sites = np.arange(L)
+    bits = ((counts.indices[:, None] >> sites) & 1).astype(np.uint8)
+    # Shots go in order of the site-0-first bit string (site 0 most
+    # significant), which fixes which random draw each shot's flips use.
+    order = np.argsort(bits @ (1 << sites[::-1]), kind="stable")
     # Expand to a shots x L bit array so flips are independent per shot.
-    bits = np.empty((counts.shots, L), dtype=np.uint8)
-    row = 0
-    for key in sorted(counts.counts):
-        c = counts.counts[key]
-        bits[row:row + c] = [1 if ch == "1" else 0 for ch in key]
-        row += c
+    bits = np.repeat(bits[order], counts.counts[order], axis=0)
     flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
     bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
-    out: dict[str, int] = {}
-    for rowbits in bits:
-        key = "".join("1" if b else "0" for b in rowbits)
-        out[key] = out.get(key, 0) + 1
-    return CountsTable(counts.shots, out, L, seed,
+    indices, out = np.unique(bits @ (1 << sites), return_counts=True)
+    return CountsTable(counts.shots, indices, out, L, seed,
                        {"corrupted": True, **counts.metadata})
 
 
@@ -65,25 +62,22 @@ def mitigate_expectation_z(counts: CountsTable, model: ReadoutModel, site: int) 
     return (z_meas - (p10[site] - p01[site])) / scale
 
 
-def mitigate_counts_full(counts: CountsTable, model: ReadoutModel) -> dict[str, float]:
+def mitigate_counts_full(counts: CountsTable, model: ReadoutModel) -> np.ndarray:
     """Tensor-product inversion of the full confusion matrix.
 
-    Returns a quasi-probability table; entries may be slightly negative
-    and are deliberately not clipped.
+    Returns a quasi-probability vector over basis indices; entries may be
+    slightly negative and are deliberately not clipped.
     """
     L = counts.L
     if L > MAX_FULL_MITIGATION_SITES:
         raise ResourceLimitError(f"full mitigation limited to L <= {MAX_FULL_MITIGATION_SITES}")
     p01, p10 = model.rates(L)
     dist = np.zeros(2**L)
-    for key, c in counts.counts.items():
-        dist[bitstring_to_index(key)] = c / counts.shots
+    dist[counts.indices] = counts.counts / counts.shots
     tensor = dist.reshape([2] * L)
     for site in range(L):
         a = np.array([[1 - p01[site], p10[site]], [p01[site], 1 - p10[site]]])
         ainv = np.linalg.inv(a)
         axis = L - 1 - site  # axis 0 holds the highest site (C-order reshape)
         tensor = np.moveaxis(np.tensordot(ainv, tensor, axes=([1], [axis])), 0, axis)
-    flat = tensor.reshape(-1)
-    return {index_to_bitstring(i, L): float(v)
-            for i, v in enumerate(flat) if v != 0.0}
+    return tensor.reshape(-1)

@@ -40,7 +40,12 @@ class CorrelationMatrix:
     source: str
 
 
-def _z_vector(state) -> np.ndarray:
+def _z_vector(state, model: ReadoutModel | None = None) -> np.ndarray:
+    if model is not None:
+        if not isinstance(state, CountsTable):
+            raise TypeError("mitigated estimates require a CountsTable")
+        return np.array([mitigate_expectation_z(state, model, i)
+                         for i in range(state.L)])
     if isinstance(state, StateVector):
         return np.array([expectation_z(state, i) for i in range(state.L)])
     if isinstance(state, CountsTable):
@@ -58,13 +63,7 @@ def density(state, site: int) -> float:
 def density_profile(state, time: float, source: str,
                     model: ReadoutModel | None = None) -> DensityProfile:
     """Full site-resolved density; pass a ReadoutModel to apply mitigation."""
-    if model is not None:
-        if not isinstance(state, CountsTable):
-            raise TypeError("mitigated profiles require a CountsTable")
-        z = np.array([mitigate_expectation_z(state, model, i)
-                      for i in range(state.L)])
-    else:
-        z = _z_vector(state)
+    z = _z_vector(state, model)
     return DensityProfile(time, (1.0 - z) / 2.0, source)
 
 
@@ -83,9 +82,13 @@ def edge_density_nE(profile: DensityProfile) -> float:
     return float((profile.values[0] + profile.values[-1]) / 2.0)
 
 
-def correlation(state, time: float = 0.0, source: str = SOURCE_EXACT) -> CorrelationMatrix:
-    """C_ij = <Z_i><Z_j>: the literal product of single-site expectations."""
-    z = _z_vector(state)
+def correlation(state, time: float = 0.0, source: str = SOURCE_EXACT,
+                model: ReadoutModel | None = None) -> CorrelationMatrix:
+    """C_ij = <Z_i><Z_j>: the literal product of single-site expectations.
+
+    Pass a ReadoutModel to build it from mitigated <Z_i>.
+    """
+    z = _z_vector(state, model)
     return CorrelationMatrix(time, np.outer(z, z), source)
 
 

@@ -176,11 +176,6 @@ def build_spin_hamiltonian(params: ModelParams) -> PauliSum:
     return PauliSum(terms)
 
 
-def _hc(psum: PauliSum) -> PauliSum:
-    """Hermitian conjugate of a PauliSum (Paulis are self-adjoint)."""
-    return PauliSum([PauliString(t.ops, np.conj(t.coeff)) for t in psum.terms])
-
-
 def build_fermionic_hamiltonian(params: ModelParams) -> PauliSum:
     """Faithful qubit image of the fermionic Hamiltonian.
 
@@ -194,7 +189,7 @@ def build_fermionic_hamiltonian(params: ModelParams) -> PauliSum:
         cdag_next = jw_ladder(b + 1, L, ROLE_CREATION).pauli_sum
         c_here = jw_ladder(b, L, ROLE_ANNIHILATION).pauli_sum
         hop = cdag_next * c_here
-        total = total + hop.scaled(jb) + _hc(hop).scaled(jb)
+        total = total + hop.scaled(jb) + hop.adjoint().scaled(jb)
         if params.V != 0.0:
             nn = number_operator(b, L) * number_operator(b + 1, L)
             total = total + nn.scaled(params.V)

@@ -79,6 +79,19 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", "2"), ("steps", 2.0), ("steps", True),
+    ("shots", "10"), ("shots", 1.5),
+    ("seed", "1"), ("seed", False), ("seed", -1),
+    ("t_max", "1.0"), ("t_max", float("nan")), ("t_max", float("inf")),
+])
+def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, **{"shots": 10, field: value})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+
 def test_missing_file_exits_4(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 4
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -108,6 +109,21 @@ def test_run_correlation_output():
     assert mats[0].values[0, 1] == pytest.approx(1.0)  # both occupied at t=0
 
 
+def test_run_mitigated_correlation_uses_mitigated_z():
+    cfg = ExperimentConfig(
+        model=ModelParams(lambda_J=0.9, V=2.0, L=4),
+        initial_occupations=[1, 2], t_max=1.0, steps=2, shots=2000, seed=3,
+        readout=ReadoutModel(0.05, 0.05), mitigation=True,
+        outputs=["density", "correlation"])
+    rec = run(cfg)
+    for prof, mit, raw in zip(rec.profiles["trotter-sampled-mitigated"],
+                              rec.correlations["trotter-sampled-mitigated"],
+                              rec.correlations["trotter-sampled"]):
+        z_mit = 1.0 - 2.0 * prof.values
+        assert np.allclose(mit.values, np.outer(z_mit, z_mit), rtol=0, atol=1e-12)
+        assert not np.allclose(mit.values, raw.values)
+
+
 def test_run_deterministic():
     cfg = ExperimentConfig(
         model=ModelParams(lambda_J=0.9, L=4),
@@ -181,6 +197,43 @@ def test_emit_json_round_trip(tmp_path):
     got = np.array(data["profiles"]["exact"])
     want = np.array([p.values for p in rec.profiles["exact"]])
     assert np.array_equal(got, want)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_emit_csv_parses_back_to_record(tmp_path):
+    cfg = ExperimentConfig(
+        model=ModelParams(lambda_J=0.9, V=1.0, L=3),
+        initial_occupations=[0], t_max=1.0, steps=2, shots=100, seed=1,
+        readout=ReadoutModel(0.05, 0.05), mitigation=True,
+        outputs=["density", "P0", "S2", "correlation"])
+    rec = run(cfg)
+    d = rec.to_dict()
+    density, scalars, correlation = emit(rec, "csv", str(tmp_path))
+
+    # NaN marks a cell no CSV row filled, so a missing row fails the comparison
+    profiles = {src: np.full(np.shape(v), np.nan) for src, v in d["profiles"].items()}
+    for step, time, site, value, src in _csv_rows(density):
+        assert float(time) == d["times"][int(step)]
+        profiles[src][int(step), int(site)] = float(value)
+    for src, values in profiles.items():
+        assert np.array_equal(values, d["profiles"][src])
+
+    series = {src: {name: [math.nan] * len(v) for name, v in names.items()}
+              for src, names in d["series"].items()}
+    for step, time, name, value, src in _csv_rows(scalars):
+        assert float(time) == d["times"][int(step)]
+        series[src][name][int(step)] = float(value)
+    assert series == d["series"]
+
+    mats = {src: np.full((len(d["times"]), 3, 3), np.nan) for src in d["correlations"]}
+    for time, i, j, value, src in _csv_rows(correlation):
+        mats[src][d["times"].index(float(time)), int(i), int(j)] = float(value)
+    for src, values in mats.items():
+        assert np.array_equal(values, [m["values"] for m in d["correlations"][src]])
 
 
 def test_emit_unknown_format(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aahwalk.engine import CountsTable
+from aahwalk.engine import CountsTable, bitstring_to_index
 from aahwalk.exact import exact_evolve, prepare_fock_state
 from aahwalk.experiment import hamiltonian_matrix
 from aahwalk.model import ModelParams
@@ -21,6 +21,13 @@ from aahwalk.observables import (
 )
 
 
+def _table(shots, keyed, L):
+    """CountsTable from a {site-0-first bit string: count} histogram."""
+    pairs = sorted((bitstring_to_index(k), c) for k, c in keyed.items())
+    return CountsTable(shots, np.array([i for i, _ in pairs]),
+                       np.array([c for _, c in pairs]), L)
+
+
 def test_density_from_statevector():
     psi = prepare_fock_state(4, [1, 3])
     assert density(psi, 0) == pytest.approx(0.0)
@@ -28,7 +35,7 @@ def test_density_from_statevector():
 
 
 def test_density_from_counts():
-    counts = CountsTable(4, {"10": 3, "01": 1}, 2)
+    counts = _table(4, {"10": 3, "01": 1}, 2)
     assert density(counts, 0) == pytest.approx(0.75)
     assert density(counts, 1) == pytest.approx(0.25)
 
@@ -47,7 +54,7 @@ def test_density_profile_mitigated_requires_counts():
 
 
 def test_density_profile_mitigated_zero_noise():
-    counts = CountsTable(8, {"10": 8}, 2)
+    counts = _table(8, {"10": 8}, 2)
     prof = density_profile(counts, 0.0, "m", model=ReadoutModel(0.0, 0.0))
     assert prof.values == pytest.approx([1.0, 0.0])
 
@@ -86,7 +93,7 @@ def test_correlation_product_form():
 
 
 def test_correlation_from_counts():
-    counts = CountsTable(2, {"10": 1, "01": 1}, 2)
+    counts = _table(2, {"10": 1, "01": 1}, 2)
     C = correlation(counts).values
     assert np.allclose(C, 0.0)  # <Z_i> = 0 on both sites
 
