@@ -18,12 +18,11 @@ from .errors import LoweringRequiredError, ResourceLimitError
 from .model import FLAVOR_EXACT_JW, ModelParams, bond_coefficient
 
 KIND_X = "X"
-KIND_RX = "RX"
 KIND_RY = "RY"
 KIND_RZ = "RZ"
 KIND_CNOT = "CNOT"
 KIND_TBLOCK = "TBLOCK"
-PRIMITIVE_KINDS = (KIND_X, KIND_RX, KIND_RY, KIND_RZ, KIND_CNOT)
+PRIMITIVE_KINDS = (KIND_X, KIND_RY, KIND_RZ, KIND_CNOT)
 
 SCHEME_SEQUENTIAL = "sequential"
 SCHEME_EVEN_ODD = "even-odd-1"
@@ -92,7 +91,6 @@ def lower(circuit: Circuit) -> Circuit:
                 out.append(gg)
         else:
             out.append(g)
-    out.metadata["lowered"] = True
     return out
 
 
@@ -149,8 +147,6 @@ def trotter_circuit(params: ModelParams, t: float, n: int,
     return c
 
 
-_RX = lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
-                          [-1j * math.sin(t / 2), math.cos(t / 2)]], dtype=complex)
 _RY = lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
                           [math.sin(t / 2), math.cos(t / 2)]], dtype=complex)
 _RZ = lambda t: np.array([[np.exp(-1j * t / 2), 0],
@@ -161,8 +157,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 def gate_matrix_1q(gate: Gate) -> np.ndarray:
     if gate.kind == KIND_X:
         return _X
-    if gate.kind == KIND_RX:
-        return _RX(gate.angles[0])
     if gate.kind == KIND_RY:
         return _RY(gate.angles[0])
     if gate.kind == KIND_RZ:
@@ -202,8 +196,6 @@ def export_qasm(circuit: Circuit) -> str:
     for g in circuit.gates:
         if g.kind == KIND_X:
             lines.append(f"x q[{g.qubits[0]}];")
-        elif g.kind == KIND_RX:
-            lines.append(f"rx({g.angles[0]!r}) q[{g.qubits[0]}];")
         elif g.kind == KIND_RY:
             lines.append(f"ry({g.angles[0]!r}) q[{g.qubits[0]}];")
         elif g.kind == KIND_RZ:

@@ -15,6 +15,7 @@ from .errors import ConfigError, ResourceLimitError
 from .exact import single_particle_hamiltonian, spectrum, spectrum_csv
 from .experiment import (
     PRESET_NAMES,
+    SWEEP_AXES,
     config_from_dict,
     emit,
     hamiltonian_matrix,
@@ -22,6 +23,7 @@ from .experiment import (
     run,
     sweep,
 )
+from .model import FLAVORS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--flavor", choices=("paper-literal", "exact-jw"), default=None)
+    p.add_argument("--flavor", choices=FLAVORS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one model parameter")
     p.add_argument("config")
-    p.add_argument("--axis", required=True, choices=("lambda_J", "phi_J", "V"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated list, e.g. 0,0.5,0.9")
     _add_common(p)
@@ -75,16 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-qasm", help="emit the Trotter circuit as OpenQASM 2.0")
     p.add_argument("config")
     p.add_argument("--out", default="-", help="output file ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--flavor", choices=("paper-literal", "exact-jw"), default=None)
+    p.add_argument("--flavor", choices=FLAVORS, default=None)
 
     p = sub.add_parser("spectrum", help="dump the Hamiltonian spectrum as CSV")
     p.add_argument("config")
     p.add_argument("--single-particle", action="store_true",
                    help="diagonalize the L x L one-particle sector instead")
     p.add_argument("--out", default="-", help="output file ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--flavor", choices=("paper-literal", "exact-jw"), default=None)
+    p.add_argument("--flavor", choices=FLAVORS, default=None)
     return parser
 
 

@@ -9,7 +9,7 @@ renders as "00100".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class CountsTable:
     counts: np.ndarray
     L: int
     seed: int | None = None
-    metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         keyed = {index_to_bitstring(int(i), self.L): int(c)
@@ -109,5 +108,4 @@ def sample_counts(psi: StateVector, shots: int, seed: int) -> CountsTable:
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     indices = np.flatnonzero(draws)
-    return CountsTable(shots, indices, draws[indices], psi.L, seed,
-                       {"rng": RNG_ALGORITHM})
+    return CountsTable(shots, indices, draws[indices], psi.L, seed)

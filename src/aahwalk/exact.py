@@ -1,4 +1,4 @@
-"""Exact propagation by dense eigendecomposition (the oracle for everything).
+"""Exact propagation by eigendecomposition (the oracle for everything).
 
 Basis convention: amplitude index bit i is the state of site/qubit i,
 little-endian (site 0 = least significant bit).  |00100> with site 2
@@ -7,11 +7,12 @@ occupied therefore lives at index 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
-from .model import ModelParams, bond_coefficient
+from .model import FLAVOR_PAPER_LITERAL, ModelParams, bond_coefficient
 
 HERMITICITY_TOL = 1e-9
 
@@ -74,14 +75,36 @@ def exact_evolve(H: np.ndarray, psi0: StateVector, t: float) -> StateVector:
     return spectrum(H).evolve(psi0, t)
 
 
+def sector_basis(L: int, n: int) -> np.ndarray:
+    """Ascending basis indices of the states with exactly n occupied sites."""
+    return np.array(sorted(sum(1 << s for s in occ)
+                           for occ in combinations(range(L), n)), dtype=np.int64)
+
+
+def sector_hamiltonian(params: ModelParams, basis: np.ndarray) -> np.ndarray:
+    """H on the span of `basis` (one particle-number sector), as a real matrix.
+
+    A hop on bond b swaps bits b and b+1 with amplitude J_b; in an open chain
+    it carries no Jordan-Wigner sign.  The interaction is diagonal:
+    (V/2) sum_b z_b z_{b+1} (paper-literal) or V sum_b n_b n_{b+1} (exact-jw).
+    This is the projection of the dense Hamiltonian, constant part included.
+    """
+    bits = (basis[:, None] >> np.arange(params.L)) & 1
+    if params.flavor == FLAVOR_PAPER_LITERAL:
+        z = 1 - 2 * bits
+        diag = params.V / 2 * np.sum(z[:, :-1] * z[:, 1:], axis=1)
+    else:
+        diag = params.V * np.sum(bits[:, :-1] * bits[:, 1:], axis=1)
+    H = np.diag(diag.astype(float))
+    for b in range(params.L - 1):
+        rows = np.flatnonzero(bits[:, b] != bits[:, b + 1])
+        H[rows, np.searchsorted(basis, basis[rows] ^ (3 << b))] = bond_coefficient(params, b)
+    return H
+
+
 def single_particle_hamiltonian(params: ModelParams) -> np.ndarray:
     """L x L hopping matrix of the one-particle sector (V plays no role)."""
-    L = params.L
-    H1 = np.zeros((L, L))
-    for b in range(L - 1):
-        jb = bond_coefficient(params, b)
-        H1[b, b + 1] = H1[b + 1, b] = jb
-    return H1
+    return sector_hamiltonian(replace(params, V=0.0), sector_basis(params.L, 1))
 
 
 def spectrum_csv(decomp: SpectralDecomposition) -> str:

@@ -16,8 +16,8 @@ from . import __version__
 from .circuit import SCHEMES, lower, trotter_circuit
 from .engine import RNG_ALGORITHM, apply_circuit, sample_counts
 from .errors import ConfigError
-from .exact import prepare_fock_state, spectrum
-from .model import FLAVOR_PAPER_LITERAL, FLAVORS, ModelParams
+from .exact import StateVector, prepare_fock_state, sector_basis, sector_hamiltonian, spectrum
+from .model import FLAVOR_PAPER_LITERAL, ModelParams
 from .noise import ReadoutModel, corrupt
 from .observables import (
     SOURCE_EXACT,
@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError(f"shots: must be >= 0, got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.readout is not None:
+            try:
+                self.readout.rates(self.model.L)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"readout: {exc}") from exc
         if self.mitigation and (self.readout is None or self.shots == 0):
             raise ConfigError("mitigation: requires readout present and shots > 0")
         for name in self.outputs:
@@ -117,9 +122,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     readout = None
     if d.get("readout") is not None:
         r = d["readout"]
-        bad = set(r) - {"p01", "p10"}
-        if bad:
-            raise ConfigError(f"readout: unknown keys {sorted(bad)}")
+        if not isinstance(r, dict) or set(r) != {"p01", "p10"}:
+            raise ConfigError(f"readout: expected exactly the keys p01 and p10, got {r!r}")
         p01 = tuple(r["p01"]) if isinstance(r["p01"], list) else r["p01"]
         p10 = tuple(r["p10"]) if isinstance(r["p10"], list) else r["p10"]
         readout = ReadoutModel(p01, p10)
@@ -170,19 +174,21 @@ class RunRecord:
 
 
 def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
-    """Dense Hamiltonian of the selected flavor."""
+    """Dense 2^L Hamiltonian of the selected flavor, from Pauli strings."""
     if params.flavor == FLAVOR_PAPER_LITERAL:
         return to_matrix(build_spin_hamiltonian(params), params.L)
     return build_fermionic_hamiltonian_matrix(params)
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Full pipeline: prepare, evolve (exact + circuit), measure, observe."""
+    """Full pipeline: prepare, evolve (exact in the N sector + circuit), measure, observe."""
     config.validate()
     params = config.model
     n_particles = len(config.initial_occupations)
-    decomp = spectrum(hamiltonian_matrix(params))
+    basis = sector_basis(params.L, n_particles)
+    decomp = spectrum(sector_hamiltonian(params, basis))
     psi0 = prepare_fock_state(params.L, config.initial_occupations)
+    c0 = decomp.eigenvectors.conj().T @ psi0.amplitudes[basis]
     dt = config.t_max / config.steps
 
     step_circuit = lower(trotter_circuit(params, dt, 1, config.scheme)) \
@@ -205,8 +211,10 @@ def run(config: ExperimentConfig) -> RunRecord:
         times.append(t)
         if s > 0 and step_circuit is not None:
             psi_trot = apply_circuit(psi_trot, step_circuit)
+        amps = np.zeros(2**params.L, dtype=complex)
+        amps[basis] = decomp.eigenvectors @ (np.exp(-1j * decomp.eigenvalues * t) * c0)
         step_states: dict[str, object] = {
-            SOURCE_EXACT: decomp.evolve(psi0, t),
+            SOURCE_EXACT: StateVector(amps, params.L),
             SOURCE_TROTTER_EXACT: psi_trot,
         }
         if config.shots > 0:

@@ -43,14 +43,11 @@ class ModelParams:
             raise ValueError(f"L must be in [2, {MAX_SITES}], got {self.L}")
         if self.T_period < 1 or int(self.T_period) != self.T_period:
             raise ValueError(f"T_period must be a positive integer, got {self.T_period}")
-        if not math.isfinite(self.lambda_J):
-            raise ValueError("lambda_J must be finite")
+        for name in ("J", "lambda_J", "phi_J", "V"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
-
-    @property
-    def n_bonds(self) -> int:
-        return self.L - 1
 
 
 def bond_coefficient(params: ModelParams, b: int) -> float:

@@ -28,7 +28,7 @@ class ReadoutModel:
     def rates(self, L: int) -> tuple[np.ndarray, np.ndarray]:
         p01 = np.broadcast_to(np.asarray(self.p01, dtype=float), (L,)).copy()
         p10 = np.broadcast_to(np.asarray(self.p10, dtype=float), (L,)).copy()
-        if np.any(p01 < 0) or np.any(p01 >= 0.5) or np.any(p10 < 0) or np.any(p10 >= 0.5):
+        if not np.all((p01 >= 0) & (p01 < 0.5) & (p10 >= 0) & (p10 < 0.5)):
             raise ValueError("flip probabilities must lie in [0, 0.5)")
         return p01, p10
 
@@ -48,8 +48,7 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed: int) -> CountsTable:
     flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
     bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
     indices, out = np.unique(bits @ (1 << sites), return_counts=True)
-    return CountsTable(counts.shots, indices, out, L, seed,
-                       {"corrupted": True, **counts.metadata})
+    return CountsTable(counts.shots, indices, out, L, seed)
 
 
 def mitigate_expectation_z(counts: CountsTable, model: ReadoutModel, site: int) -> float:

@@ -198,6 +198,4 @@ def build_fermionic_hamiltonian(params: ModelParams) -> PauliSum:
 
 def build_fermionic_hamiltonian_matrix(params: ModelParams) -> np.ndarray:
     """Dense matrix of the faithful fermionic Hamiltonian (L <= 12)."""
-    if params.L > MAX_DENSE_SITES:
-        raise ResourceLimitError(f"L={params.L} exceeds dense guard {MAX_DENSE_SITES}")
     return to_matrix(build_fermionic_hamiltonian(params), params.L)

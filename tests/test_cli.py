@@ -6,9 +6,11 @@ import pytest
 from aahwalk.cli import main
 
 
+_MODEL = {"J": 1.0, "lambda_J": 0.9, "T_period": 2, "phi_J": 0.0, "V": 0.0, "L": 4}
+
+
 def _write_config(tmp_path, **over):
-    data = {"model": {"J": 1.0, "lambda_J": 0.9, "T_period": 2,
-                      "phi_J": 0.0, "V": 0.0, "L": 4},
+    data = {"model": dict(_MODEL),
             "initial_occupations": [0], "t_max": 1.0, "steps": 2}
     data.update(over)
     path = tmp_path / "config.json"
@@ -90,6 +92,38 @@ def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["J", "phi_J", "V"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_model_exits_2(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, model={**_MODEL, field: value})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model: {field} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("readout", [
+    {"p01": 0.02},
+    {"p01": 0.7, "p10": 0.02},
+    {"p01": [0.01, 0.02, 0.03], "p10": 0.02},
+    {"p01": float("nan"), "p10": 0.02},
+])
+def test_bad_readout_exits_2(tmp_path, capsys, readout):
+    cfg = _write_config(tmp_path, shots=10, readout=readout)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: readout: ") and err.count("\n") == 1
+
+
+def test_run_fourteen_sites_two_particles(tmp_path):
+    cfg = _write_config(tmp_path, model={**_MODEL, "L": 14, "V": 2.0},
+                        initial_occupations=[6, 7], steps=1)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--format", "json"]) == 0
+    data = json.loads((out / "run_000.json").read_text())
+    for prof in data["profiles"]["exact"]:
+        assert sum(prof) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from aahwalk.exact import (
     exact_evolve,
     prepare_fock_state,
+    sector_basis,
+    sector_hamiltonian,
     single_particle_hamiltonian,
     spectrum,
     spectrum_csv,
 )
 from aahwalk.experiment import hamiltonian_matrix
-from aahwalk.model import ModelParams
+from aahwalk.model import FLAVORS, ModelParams
 from aahwalk.observables import density_profile
 
 
@@ -64,6 +68,21 @@ def test_particle_number_conserved():
         psi = exact_evolve(H, prepare_fock_state(5, [0, 3]), 2.5)
         total = density_profile(psi, 2.5, "exact").values.sum()
         assert total == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_sector_hamiltonian_is_projection(flavor):
+    for L in range(2, 9):
+        p = ModelParams(J=1.3, lambda_J=0.7, T_period=3, phi_J=0.4, V=1.7,
+                        L=L, flavor=flavor)
+        H = hamiltonian_matrix(p)
+        n_of = np.array([bin(i).count("1") for i in range(2**L)])
+        assert np.all(H[n_of[:, None] != n_of[None, :]] == 0)
+        for n in range(L + 1):
+            b = sector_basis(L, n)
+            assert len(b) == math.comb(L, n)
+            assert np.all(np.diff(b) > 0) and np.all(n_of[b] == n)
+            assert np.abs(sector_hamiltonian(p, b) - H[np.ix_(b, b)]).max() < 1e-12
 
 
 def test_non_hermitian_rejected():

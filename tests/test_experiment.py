@@ -6,18 +6,22 @@ import os
 import numpy as np
 import pytest
 
+from aahwalk import experiment
 from aahwalk.errors import ConfigError
+from aahwalk.exact import prepare_fock_state, spectrum
 from aahwalk.experiment import (
     ExperimentConfig,
     PRESET_NAMES,
     config_from_dict,
     emit,
+    hamiltonian_matrix,
     preset_configs,
     run,
     sweep,
 )
-from aahwalk.model import ModelParams
+from aahwalk.model import FLAVORS, ModelParams
 from aahwalk.noise import ReadoutModel
+from aahwalk.observables import density_profile
 
 
 def _minimal_dict(**over):
@@ -84,6 +88,33 @@ def test_run_two_site_rabi():
     assert exact[4].values == pytest.approx([0.0, 1.0], abs=1e-10)
     assert rec.series["exact"]["P0"][0] == pytest.approx(1.0)
     assert rec.series["exact"]["R2n"][4] == pytest.approx(1.0, abs=1e-10)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("run() must not build the 2^L Hamiltonian")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("occ", [[2], [0, 3], [1, 2, 4]])
+def test_run_exact_is_sector_evolution(monkeypatch, flavor, occ):
+    p = ModelParams(lambda_J=0.7, T_period=3, phi_J=0.4, V=1.5, L=6, flavor=flavor)
+    full = spectrum(hamiltonian_matrix(p))
+    psi0 = prepare_fock_state(p.L, occ)
+    shapes = []
+
+    def recording_spectrum(H):
+        shapes.append(H.shape)
+        return spectrum(H)
+
+    monkeypatch.setattr(experiment, "spectrum", recording_spectrum)
+    for name in ("to_matrix", "build_spin_hamiltonian", "build_fermionic_hamiltonian_matrix"):
+        monkeypatch.setattr(experiment, name, _forbidden)
+    rec = run(ExperimentConfig(model=p, initial_occupations=occ, t_max=2.0, steps=4))
+    dim = math.comb(p.L, len(occ))
+    assert shapes == [(dim, dim)]
+    for t, prof in zip(rec.times, rec.profiles["exact"]):
+        want = density_profile(full.evolve(psi0, t), t, "exact").values
+        assert np.abs(prof.values - want).max() < 1e-12
 
 
 def test_run_sources_present():

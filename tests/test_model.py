@@ -69,3 +69,7 @@ def test_params_validation():
         ModelParams(T_period=0)
     with pytest.raises(ValueError):
         ModelParams(flavor="bogus")
+    for name in ("J", "lambda_J", "phi_J", "V"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                ModelParams(**{name: bad})
