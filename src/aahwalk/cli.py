@@ -10,15 +10,17 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .circuit import Gate, KIND_X, lower, trotter_circuit, export_qasm
 from .errors import ConfigError, ResourceLimitError
-from .exact import single_particle_hamiltonian, spectrum, spectrum_csv
+from .exact import (sector_basis, sector_hamiltonian, single_particle_hamiltonian,
+                    spectrum, spectrum_csv)
 from .experiment import (
     PRESET_NAMES,
     SWEEP_AXES,
     config_from_dict,
     emit,
-    hamiltonian_matrix,
     preset_configs,
     run,
     sweep,
@@ -37,13 +39,17 @@ def _load_config(path: str, args) -> "ExperimentConfig":
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    cfg = config_from_dict(data)
+    cfg = _override(config_from_dict(data), args)
+    cfg.validate()
+    return cfg
+
+
+def _override(cfg: "ExperimentConfig", args) -> "ExperimentConfig":
+    """Apply the --seed and --flavor options."""
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "flavor", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, model=dataclasses.replace(cfg.model, flavor=args.flavor))
-    cfg.validate()
+    if args.flavor is not None:
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, flavor=args.flavor))
     return cfg
 
 
@@ -108,14 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             records = sweep(cfg, args.axis, values)
             emit(records, args.format, args.out, stem=f"sweep_{args.axis}")
         elif args.command == "preset":
-            configs = preset_configs(args.name)
-            if args.seed is not None:
-                configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
-            if args.flavor is not None:
-                configs = [dataclasses.replace(
-                    c, model=dataclasses.replace(c.model, flavor=args.flavor))
-                    for c in configs]
-            records = [run(c) for c in configs]
+            records = [run(_override(c, args)) for c in preset_configs(args.name)]
             emit(records, args.format, args.out, stem=args.name)
         elif args.command == "export-qasm":
             cfg = _load_config(args.config, args)
@@ -126,9 +125,13 @@ def main(argv: list[str] | None = None) -> int:
             _write_text(args.out, export_qasm(lower(circ)))
         elif args.command == "spectrum":
             cfg = _load_config(args.config, args)
-            H = (single_particle_hamiltonian(cfg.model) if args.single_particle
-                 else hamiltonian_matrix(cfg.model))
-            _write_text(args.out, spectrum_csv(spectrum(H)))
+            p = cfg.model  # H conserves N: its spectrum is the union over the sectors,
+            # the largest (N = L // 2) first, so that the size guard fires before any eigh
+            order = sorted(range(p.L + 1), key=lambda n: abs(2 * n - p.L))
+            blocks = ([single_particle_hamiltonian(p)] if args.single_particle else
+                      (sector_hamiltonian(p, sector_basis(p.L, n)) for n in order))
+            evals = np.sort(np.concatenate([spectrum(H).eigenvalues for H in blocks]))
+            _write_text(args.out, spectrum_csv(evals))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

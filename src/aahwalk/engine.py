@@ -1,4 +1,4 @@
-"""Statevector kernels: gate application, Z expectations, shot sampling.
+"""Statevector kernels: gate application, sector Trotter step, Z expectations, sampling.
 
 Measured outcomes are basis indices (bit i = site i).  Only the JSON
 rendering of a CountsTable uses bit strings, site-0-first: character k of
@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, KIND_CNOT, gate_matrix_1q
+from .circuit import Circuit, Gate, KIND_CNOT, circuit_unitary, gate_matrix_1q
 from .errors import LoweringRequiredError
 from .exact import StateVector
 
 RNG_ALGORITHM = "numpy-default-pcg64"
+SECTOR_LEAK_TOL = 1e-12
 
 
 @dataclass
@@ -28,7 +29,7 @@ class CountsTable:
     indices: np.ndarray
     counts: np.ndarray
     L: int
-    seed: int | None = None
+    seed: int | tuple[int, ...] | None = None
 
     def to_json(self) -> str:
         keyed = {index_to_bitstring(int(i), self.L): int(c)
@@ -71,15 +72,49 @@ def apply_gate(psi: StateVector, gate: Gate) -> None:
 
 
 def apply_circuit(psi: StateVector, circuit: Circuit) -> StateVector:
-    """Apply a lowered circuit gate-by-gate; returns a new StateVector."""
+    """Apply a lowered circuit gate-by-gate to a 2^L state; returns a new StateVector."""
     if not circuit.is_lowered():
         raise LoweringRequiredError("apply_circuit needs a lowered circuit")
     if circuit.L != psi.L:
         raise ValueError("qubit-count mismatch between state and circuit")
+    if psi.basis is not None:
+        raise ValueError("apply_circuit acts on 2^L states; use apply_sector_step")
     out = psi.copy()
     for g in circuit.gates:
         apply_gate(out, g)
     return out
+
+
+SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
+    """Each gate of an unlowered circuit as (diag, off, partner) on the sector
+    `basis`: new = diag*old + off*old[partner].  A gate's unitary is
+    circuit_unitary of the gate moved to qubits 0..k-1 (the lowered gate run
+    through the engine kernels); within one particle number it may only keep
+    a state or flip all its qubits (01 <-> 10)."""
+    step: SectorStep = []
+    for g in circuit.gates:
+        k = len(g.qubits)
+        u = circuit_unitary(Circuit(k, [Gate(g.kind, tuple(range(k)), g.angles)]))
+        weight = np.array([bin(v).count("1") for v in range(2**k)])
+        # flipping every qubit of local state l gives 2**k - 1 - l: u's anti-diagonal
+        off = np.where(weight == weight[::-1], u[:, ::-1].diagonal(), 0)
+        if np.abs(u - np.diag(u.diagonal()) - np.diag(off)[:, ::-1]).max() > SECTOR_LEAK_TOL:
+            raise ValueError(f"gate {g.kind} on {g.qubits} leaves the particle-number sector")
+        idx = sum(((basis >> q) & 1) << j for j, q in enumerate(g.qubits))
+        # where off is 0 the flipped state is outside the sector: any partner will do
+        partner = np.searchsorted(basis, basis ^ sum(1 << q for q in g.qubits))
+        step.append((u.diagonal()[idx], off[idx], np.minimum(partner, len(basis) - 1)))
+    return step
+
+
+def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
+    """Apply a compiled sector step to sector amplitudes; returns a new array."""
+    for diag, off, partner in step:
+        amps = diag * amps + off * amps[partner]
+    return amps
 
 
 def expectation_z(psi: StateVector, site: int) -> float:
@@ -87,7 +122,7 @@ def expectation_z(psi: StateVector, site: int) -> float:
     if not 0 <= site < psi.L:
         raise IndexError(f"site {site} out of range [0, {psi.L - 1}]")
     probs = np.abs(psi.amplitudes) ** 2
-    bits = (np.arange(probs.size) >> site) & 1
+    bits = (psi.indices >> site) & 1
     return float(np.sum(probs * (1.0 - 2.0 * bits)))
 
 
@@ -99,7 +134,7 @@ def counts_expectation_z(counts: CountsTable, site: int) -> float:
     return int(np.sum(counts.counts * (1 - 2 * bits))) / counts.shots
 
 
-def sample_counts(psi: StateVector, shots: int, seed: int) -> CountsTable:
+def sample_counts(psi: StateVector, shots: int, seed) -> CountsTable:
     """Multinomial shot sampling from |amplitudes|^2; deterministic per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -107,5 +142,5 @@ def sample_counts(psi: StateVector, shots: int, seed: int) -> CountsTable:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    indices = np.flatnonzero(draws)
-    return CountsTable(shots, indices, draws[indices], psi.L, seed)
+    nonzero = np.flatnonzero(draws)
+    return CountsTable(shots, psi.indices[nonzero], draws[nonzero], psi.L, seed)

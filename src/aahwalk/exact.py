@@ -7,25 +7,34 @@ occupied therefore lives at index 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .model import FLAVOR_PAPER_LITERAL, ModelParams, bond_coefficient
 
 HERMITICITY_TOL = 1e-9
+# The one size guard of the run path: the sector dimension C(L, N).
+MAX_SECTOR_STATES = 4096
 
 
 @dataclass
 class StateVector:
-    """2^L complex amplitudes over the computational basis."""
+    """Complex amplitudes over `basis`, ascending basis indices (None: all 2^L)."""
 
     amplitudes: np.ndarray
     L: int
+    basis: np.ndarray | None = None
+
+    @property
+    def indices(self) -> np.ndarray:  # the basis index of each amplitude
+        return np.arange(len(self.amplitudes)) if self.basis is None else self.basis
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.L)
+        return StateVector(self.amplitudes.copy(), self.L, self.basis)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -53,7 +62,7 @@ class SpectralDecomposition:
     def evolve(self, psi: StateVector, t: float) -> StateVector:
         coeffs = self.eigenvectors.conj().T @ psi.amplitudes
         amps = self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coeffs)
-        return StateVector(amps, psi.L)
+        return StateVector(amps, psi.L, psi.basis)
 
 
 def _check_hermitian(H: np.ndarray) -> None:
@@ -77,6 +86,9 @@ def exact_evolve(H: np.ndarray, psi0: StateVector, t: float) -> StateVector:
 
 def sector_basis(L: int, n: int) -> np.ndarray:
     """Ascending basis indices of the states with exactly n occupied sites."""
+    if math.comb(L, n) > MAX_SECTOR_STATES:
+        raise ResourceLimitError(f"sector dimension C({L}, {n}) = {math.comb(L, n)}"
+                                 f" exceeds {MAX_SECTOR_STATES}")
     return np.array(sorted(sum(1 << s for s in occ)
                            for occ in combinations(range(L), n)), dtype=np.int64)
 
@@ -107,8 +119,8 @@ def single_particle_hamiltonian(params: ModelParams) -> np.ndarray:
     return sector_hamiltonian(replace(params, V=0.0), sector_basis(params.L, 1))
 
 
-def spectrum_csv(decomp: SpectralDecomposition) -> str:
+def spectrum_csv(eigenvalues: np.ndarray) -> str:
     """Spectrum dump: CSV with columns index,eigenvalue."""
     lines = ["index,eigenvalue"]
-    lines += [f"{i},{e!r}" for i, e in enumerate(decomp.eigenvalues)]
+    lines += [f"{i},{float(e)!r}" for i, e in enumerate(eigenvalues)]
     return "\n".join(lines) + "\n"

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .circuit import SCHEMES, lower, trotter_circuit
-from .engine import RNG_ALGORITHM, apply_circuit, sample_counts
+from .circuit import SCHEMES, trotter_circuit
+from .circuit import lower  # noqa: F401  bound for the benchmark's tracer (perfbench/spans.py)
+from .engine import RNG_ALGORITHM, apply_sector_step, compile_sector_step, sample_counts
+from .engine import apply_circuit  # noqa: F401  bound for the benchmark's tracer
 from .errors import ConfigError
-from .exact import StateVector, prepare_fock_state, sector_basis, sector_hamiltonian, spectrum
+from .exact import StateVector, sector_basis, sector_hamiltonian, spectrum
+from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
 from .model import FLAVOR_PAPER_LITERAL, ModelParams
 from .noise import ReadoutModel, corrupt
 from .observables import (
@@ -37,6 +40,7 @@ from .pauli import build_fermionic_hamiltonian_matrix, build_spin_hamiltonian, t
 
 OUTPUT_NAMES = ("density", "P0", "R2n", "nE", "S2", "correlation")
 SCALAR_NAMES = ("P0", "R2n", "nE", "S2")
+_SAMPLE, _CORRUPT = 0, 1  # RNG stream purposes
 DEFAULT_OUTPUTS = ["density", "P0", "R2n", "nE", "S2"]
 
 _MODEL_KEYS = {"J", "lambda_J", "T_period", "phi_J", "V", "L", "flavor"}
@@ -88,7 +92,7 @@ class ExperimentConfig:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "model": dataclasses.asdict(self.model),
             "initial_occupations": list(self.initial_occupations),
             "t_max": self.t_max,
@@ -101,7 +105,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "outputs": list(self.outputs),
         }
-        return d
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -129,6 +132,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         readout = ReadoutModel(p01, p10)
     if "initial_occupations" not in d:
         raise ConfigError("initial_occupations: missing")
+    occ = d["initial_occupations"]
+    if not isinstance(occ, list) or not all(type(s) is int for s in occ):  # no bools
+        raise ConfigError(f"initial_occupations: expected a list of integers, got {occ!r}")
     for key, kinds, what in (("steps", int, "an integer"), ("shots", int, "an integer"),
                              ("seed", int, "an integer"), ("t_max", (int, float), "a number")):
         v = d.get(key, 0)
@@ -136,7 +142,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: expected {what}, got {v!r}")
     cfg = ExperimentConfig(
         model=model,
-        initial_occupations=list(d["initial_occupations"]),
+        initial_occupations=list(occ),
         t_max=d.get("t_max", 5.0),
         steps=d.get("steps", 10),
         scheme=d.get("scheme", "sequential"),
@@ -181,18 +187,17 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Full pipeline: prepare, evolve (exact in the N sector + circuit), measure, observe."""
+    """Full pipeline in the initial state's particle-number sector: prepare,
+    evolve (exact and Trotter circuit), measure, observe."""
     config.validate()
     params = config.model
     n_particles = len(config.initial_occupations)
     basis = sector_basis(params.L, n_particles)
     decomp = spectrum(sector_hamiltonian(params, basis))
-    psi0 = prepare_fock_state(params.L, config.initial_occupations)
-    c0 = decomp.eigenvectors.conj().T @ psi0.amplitudes[basis]
+    start = np.searchsorted(basis, sum(1 << s for s in config.initial_occupations))
+    c0 = decomp.eigenvectors[start]  # U^dag e_start; the sector block is real
     dt = config.t_max / config.steps
-
-    step_circuit = lower(trotter_circuit(params, dt, 1, config.scheme)) \
-        if config.t_max > 0 else None
+    step = compile_sector_step(trotter_circuit(params, dt, 1, config.scheme), basis)
 
     sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT]
     if config.shots > 0:
@@ -200,68 +205,42 @@ def run(config: ExperimentConfig) -> RunRecord:
         if config.mitigation:
             sources.append(SOURCE_TROTTER_MITIGATED)
 
-    times: list[float] = []
+    times = [s * dt for s in range(config.steps + 1)]
     profiles: dict[str, list[DensityProfile]] = {s: [] for s in sources}
     correlations: dict[str, list[CorrelationMatrix]] = {s: [] for s in sources}
     want_corr = "correlation" in config.outputs
 
-    psi_trot = psi0.copy()
-    for s in range(config.steps + 1):
-        t = s * dt
-        times.append(t)
-        if s > 0 and step_circuit is not None:
-            psi_trot = apply_circuit(psi_trot, step_circuit)
-        amps = np.zeros(2**params.L, dtype=complex)
-        amps[basis] = decomp.eigenvectors @ (np.exp(-1j * decomp.eigenvalues * t) * c0)
-        step_states: dict[str, object] = {
-            SOURCE_EXACT: StateVector(amps, params.L),
-            SOURCE_TROTTER_EXACT: psi_trot,
-        }
+    trot = (np.arange(len(basis)) == start).astype(complex)
+    for s, t in enumerate(times):
+        if s > 0:
+            trot = apply_sector_step(step, trot)
+        # two real products: a complex one would copy U to complex every step
+        v = np.exp(-1j * decomp.eigenvalues * t) * c0
+        amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
+        psi_trot = StateVector(trot, params.L, basis)
+        states = {SOURCE_EXACT: StateVector(amps, params.L, basis), SOURCE_TROTTER_EXACT: psi_trot}
         if config.shots > 0:
-            counts = sample_counts(psi_trot, config.shots, config.seed + s)
+            # seed last: numpy splits a seed >= 2**32 into words, which could alias s
+            counts = sample_counts(psi_trot, config.shots, (_SAMPLE, s, config.seed))
             if config.readout is not None:
-                counts = corrupt(counts, config.readout,
-                                 config.seed + s + 1_000_000)
-            step_states[SOURCE_TROTTER_SAMPLED] = counts
-            if config.mitigation:
-                step_states[SOURCE_TROTTER_MITIGATED] = counts
+                counts = corrupt(counts, config.readout, (_CORRUPT, s, config.seed))
+            states[SOURCE_TROTTER_SAMPLED] = states[SOURCE_TROTTER_MITIGATED] = counts
         for src in sources:
-            state = step_states[src]
+            state = states[src]
             model = config.readout if src == SOURCE_TROTTER_MITIGATED else None
             profiles[src].append(density_profile(state, t, src, model=model))
             if want_corr:
                 correlations[src].append(correlation(state, t, src, model=model))
 
-    series: dict[str, dict[str, list[float]]] = {}
-    for src in sources:
-        series[src] = {}
-        for name in SCALAR_NAMES:
-            if name not in config.outputs:
-                continue
-            vals = []
-            for p in profiles[src]:
-                if name == "P0":
-                    vals.append(edge_probability_P0(p))
-                elif name == "R2n":
-                    vals.append(radial_distribution(p))
-                elif name == "nE":
-                    vals.append(edge_density_nE(p))
-                else:  # S2
-                    vals.append(participation_entropy(p, 2, n_particles))
-            series[src][name] = vals
+    scalars = {"P0": edge_probability_P0, "R2n": radial_distribution, "nE": edge_density_nE,
+               "S2": lambda p: participation_entropy(p, 2, n_particles)}
+    series = {src: {name: [scalars[name](p) for p in profiles[src]] for name in SCALAR_NAMES
+                    if name in config.outputs} for src in sources}
 
-    metadata = {
-        "seed": config.seed,
-        "scheme": config.scheme,
-        "flavor": params.flavor,
-        "version": __version__,
-        "rng": RNG_ALGORITHM,
-        "entropy_log_base": "e",
-        "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    return RunRecord(config.to_dict(), times, profiles, series,
-                     correlations if want_corr else {s: [] for s in sources},
-                     metadata)
+    metadata = {"seed": config.seed, "scheme": config.scheme, "flavor": params.flavor,
+                "version": __version__, "rng": RNG_ALGORITHM, "entropy_log_base": "e",
+                "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    return RunRecord(config.to_dict(), times, profiles, series, correlations, metadata)
 
 
 SWEEP_AXES = ("lambda_J", "phi_J", "V")

@@ -9,13 +9,15 @@ T_period=2 and phi_J=0 the profile starts with a *weak* bond at b=0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 FLAVOR_PAPER_LITERAL = "paper-literal"
 FLAVOR_EXACT_JW = "exact-jw"
 FLAVORS = (FLAVOR_PAPER_LITERAL, FLAVOR_EXACT_JW)
 
-MAX_SITES = 14
+# Basis indices are int64 with bit i = site i: bit L-1 stays below the sign bit.
+MAX_INDEX_SITES = 63
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,13 @@ class ModelParams:
     flavor: str = field(default=FLAVOR_PAPER_LITERAL)
 
     def __post_init__(self) -> None:
-        if not (2 <= self.L <= MAX_SITES):
-            raise ValueError(f"L must be in [2, {MAX_SITES}], got {self.L}")
-        if self.T_period < 1 or int(self.T_period) != self.T_period:
+        for name in ("L", "T_period"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (2 <= self.L <= MAX_INDEX_SITES):
+            raise ValueError(f"L must be in [2, {MAX_INDEX_SITES}], got {self.L}")
+        if self.T_period < 1:
             raise ValueError(f"T_period must be a positive integer, got {self.T_period}")
         for name in ("J", "lambda_J", "phi_J", "V"):
             if not math.isfinite(getattr(self, name)):

@@ -33,7 +33,7 @@ class ReadoutModel:
         return p01, p10
 
 
-def corrupt(counts: CountsTable, model: ReadoutModel, seed: int) -> CountsTable:
+def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     """Flip each recorded bit independently; shot total is preserved."""
     L = counts.L
     p01, p10 = model.rates(L)

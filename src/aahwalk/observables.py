@@ -96,8 +96,7 @@ def connected_correlation(psi: StateVector, time: float = 0.0,
                           source: str = SOURCE_EXACT) -> CorrelationMatrix:
     """<Z_i Z_j> - <Z_i><Z_j> from exact amplitudes (not the literal form)."""
     probs = np.abs(psi.amplitudes) ** 2
-    idx = np.arange(probs.size)
-    zbits = 1.0 - 2.0 * np.array([(idx >> i) & 1 for i in range(psi.L)])
+    zbits = 1.0 - 2.0 * np.array([(psi.indices >> i) & 1 for i in range(psi.L)])
     z = zbits @ probs
     zz = (zbits * probs) @ zbits.T
     return CorrelationMatrix(time, zz - np.outer(z, z), source)

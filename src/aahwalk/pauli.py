@@ -67,8 +67,6 @@ class PauliString:
         return PauliString("".join(letters), self.coeff * other.coeff * phase)
 
     def to_matrix(self) -> np.ndarray:
-        if self.L > MAX_DENSE_SITES:
-            raise ResourceLimitError(f"dense matrix for L={self.L} exceeds guard")
         m = np.array([[1.0]], dtype=complex)
         # Site 0 is the least significant bit: its factor goes rightmost.
         for i in range(self.L - 1, -1, -1):

@@ -1,9 +1,14 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from aahwalk.cli import main
+from aahwalk.exact import MAX_SECTOR_STATES
+from aahwalk.experiment import hamiltonian_matrix
+from aahwalk.model import FLAVORS, MAX_INDEX_SITES, ModelParams
 
 
 _MODEL = {"J": 1.0, "lambda_J": 0.9, "T_period": 2, "phi_J": 0.0, "V": 0.0, "L": 4}
@@ -86,6 +91,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ("shots", "10"), ("shots", 1.5),
     ("seed", "1"), ("seed", False), ("seed", -1),
     ("t_max", "1.0"), ("t_max", float("nan")), ("t_max", float("inf")),
+    ("initial_occupations", 3), ("initial_occupations", ["a"]),
+    ("initial_occupations", [True]),
 ])
 def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, **{"shots": 10, field: value})
@@ -94,8 +101,10 @@ def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field", ["J", "phi_J", "V"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value, field", [
+    *[(v, f) for f in ("J", "phi_J", "V") for v in (float("nan"), float("inf"))],
+    (4.0, "L"), (True, "L"), (2.0, "T_period"),
+])
 def test_nonfinite_model_exits_2(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, model={**_MODEL, field: value})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -124,6 +133,50 @@ def test_run_fourteen_sites_two_particles(tmp_path):
     data = json.loads((out / "run_000.json").read_text())
     for prof in data["profiles"]["exact"]:
         assert sum(prof) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_run_forty_sites_two_particles(tmp_path):
+    # C(40, 2) = 780 sector states; a 2^40 object could not be allocated
+    cfg = _write_config(tmp_path, model={**_MODEL, "L": 40, "V": 2.0, "flavor": "exact-jw"},
+                        initial_occupations=[19, 20], steps=2)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--format", "json"]) == 0
+    data = json.loads((out / "run_000.json").read_text())
+    for src in ("exact", "trotter-exact"):
+        for prof in data["profiles"][src]:
+            assert sum(prof) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_run_size_guards(tmp_path, capsys):
+    L = 16  # C(16, 8) = 12870 sector states
+    assert math.comb(L, L // 2) > MAX_SECTOR_STATES
+    cfg = _write_config(tmp_path, model={**_MODEL, "L": L},
+                        initial_occupations=list(range(L // 2)))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    cfg = _write_config(tmp_path, model={**_MODEL, "L": MAX_INDEX_SITES + 1})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: L ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("L", [4, 7])
+def test_spectrum_is_union_of_sectors(tmp_path, capsys, flavor, L):
+    model = {**_MODEL, "L": L, "V": 1.3, "phi_J": 0.4, "T_period": 3, "flavor": flavor}
+    cfg = _write_config(tmp_path, model=model)
+    assert main(["spectrum", cfg]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    got = np.array([float(r.split(",")[1]) for r in rows])
+    want = np.linalg.eigvalsh(hamiltonian_matrix(ModelParams(**model)))
+    assert got.shape == want.shape and np.abs(got - want).max() < 1e-12
+
+
+def test_spectrum_thirteen_sites(tmp_path, capsys):
+    cfg = _write_config(tmp_path, model={**_MODEL, "L": 13})
+    assert main(["spectrum", cfg]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2**13
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

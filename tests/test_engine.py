@@ -5,8 +5,10 @@ from aahwalk.circuit import (
     Circuit,
     Gate,
     KIND_CNOT,
+    KIND_RY,
     KIND_TBLOCK,
     KIND_X,
+    SCHEMES,
     circuit_unitary,
     lower,
     trotter_circuit,
@@ -14,16 +16,18 @@ from aahwalk.circuit import (
 from aahwalk.engine import (
     apply_circuit,
     apply_gate,
+    apply_sector_step,
     bitstring_to_index,
+    compile_sector_step,
     counts_expectation_z,
     expectation_z,
     index_to_bitstring,
     sample_counts,
 )
 from aahwalk.errors import LoweringRequiredError
-from aahwalk.exact import exact_evolve, prepare_fock_state
+from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis
 from aahwalk.experiment import hamiltonian_matrix
-from aahwalk.model import ModelParams
+from aahwalk.model import FLAVORS, ModelParams
 
 
 def _hist(table):
@@ -151,3 +155,34 @@ def test_counts_to_json_round_trip():
     data = json.loads(counts.to_json())
     assert data["counts"] == {"01": 10}
     assert data["shots"] == 10
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_sector_step_matches_apply_circuit(flavor, scheme):
+    p = ModelParams(lambda_J=0.9, phi_J=0.3, V=2.0, L=8, flavor=flavor)
+    basis = sector_basis(p.L, 2)
+    circuit = trotter_circuit(p, 0.3, 1, scheme)
+    step, lowered = compile_sector_step(circuit, basis), lower(circuit)
+    psi = prepare_fock_state(p.L, [3, 4])
+    amps = psi.amplitudes[basis]
+    for _ in range(5):
+        psi = apply_circuit(psi, lowered)
+        amps = apply_sector_step(step, amps)
+        assert np.abs(amps - psi.amplitudes[basis]).max() < 1e-12  # global phase too
+
+
+def test_sector_step_rejects_number_changing_gate():
+    basis = sector_basis(3, 1)
+    with pytest.raises(ValueError, match="particle-number sector"):
+        compile_sector_step(Circuit(3, [Gate(KIND_RY, (1,), (0.3,))]), basis)
+    with pytest.raises(ValueError):
+        apply_circuit(StateVector(np.ones(3, dtype=complex), 3, basis), Circuit(3))
+
+
+def test_sector_state_observables():
+    basis = sector_basis(3, 1)  # indices 1, 2, 4
+    psi = StateVector(np.sqrt([0.5, 0.0, 0.5]).astype(complex), 3, basis)
+    assert [expectation_z(psi, i) for i in range(3)] == pytest.approx([0.0, 1.0, 0.0])
+    counts = sample_counts(psi, 1000, seed=2)
+    assert set(_hist(counts)) == {1, 4} and counts.counts.sum() == 1000

@@ -139,7 +139,7 @@ def test_chiral_pairing_single_particle():
 
 def test_spectrum_csv_format():
     d = spectrum(np.diag([1.0, 2.0]).astype(complex))
-    text = spectrum_csv(d)
+    text = spectrum_csv(d.eigenvalues)
     lines = text.strip().split("\n")
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 3

@@ -194,6 +194,26 @@ def test_sweep_seeds_and_empty():
         sweep(base, "V", [float("nan")])
 
 
+def test_sweep_rng_streams_distinct(monkeypatch):
+    seeds = []
+
+    def recording(fn):
+        def wrapped(table_or_state, arg, seed):
+            seeds.append(seed)
+            return fn(table_or_state, arg, seed)
+        return wrapped
+
+    monkeypatch.setattr(experiment, "sample_counts", recording(experiment.sample_counts))
+    monkeypatch.setattr(experiment, "corrupt", recording(experiment.corrupt))
+    base = ExperimentConfig(
+        model=ModelParams(lambda_J=0.5, L=3), initial_occupations=[0],
+        t_max=1.0, steps=3, shots=100, readout=ReadoutModel(0.02, 0.02), seed=4)
+    sweep(base, "V", [0.0, 1.0, 2.0])
+    assert len(seeds) == 3 * 4 * 2
+    states = {tuple(np.random.SeedSequence(s).generate_state(4)) for s in seeds}
+    assert len(states) == len(seeds)
+
+
 def test_emit_csv_layout(tmp_path):
     cfg = ExperimentConfig(
         model=ModelParams(lambda_J=0.5, L=3),

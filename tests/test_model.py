@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aahwalk.model import ModelParams, bond_coefficient, bond_profile
+from aahwalk.model import MAX_INDEX_SITES, ModelParams, bond_coefficient, bond_profile
 
 
 def test_bond_coefficient_weak_first_bond():
@@ -63,10 +63,15 @@ def test_phase_pi_shift_equals_lambda_negation(lam, phi, L, T):
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(L=1)
+    ModelParams(L=MAX_INDEX_SITES)
     with pytest.raises(ValueError):
-        ModelParams(L=15)
+        ModelParams(L=MAX_INDEX_SITES + 1)
     with pytest.raises(ValueError):
         ModelParams(T_period=0)
+    for name, bad in (("L", 4.0), ("L", True), ("T_period", 2.0), ("T_period", True)):
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**{name: bad})
+    assert ModelParams(L=np.int64(5), T_period=np.int64(3)).L == 5
     with pytest.raises(ValueError):
         ModelParams(flavor="bogus")
     for name in ("J", "lambda_J", "phi_J", "V"):
