@@ -37,11 +37,9 @@ def _load_config(path: str, args) -> "ExperimentConfig":
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an int of too many digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    cfg = _override(config_from_dict(data), args)
-    cfg.validate()
-    return cfg
+    return _override(config_from_dict(data), args)
 
 
 def _override(cfg: "ExperimentConfig", args) -> "ExperimentConfig":

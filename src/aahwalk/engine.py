@@ -1,4 +1,4 @@
-"""Statevector kernels: gate application, sector Trotter step, Z expectations, sampling.
+"""Statevector kernels: gate application, sector Trotter step, the <Z> vector, sampling.
 
 Measured outcomes are basis indices (bit i = site i).  Only the JSON
 rendering of a CountsTable uses bit strings, site-0-first: character k of
@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, KIND_CNOT, circuit_unitary, gate_matrix_1q
 from .errors import LoweringRequiredError
-from .exact import StateVector
+from .exact import StateVector, site_bits
 
 RNG_ALGORITHM = "numpy-default-pcg64"
 SECTOR_LEAK_TOL = 1e-12
@@ -85,15 +85,16 @@ def apply_circuit(psi: StateVector, circuit: Circuit) -> StateVector:
     return out
 
 
-SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
     """Each gate of an unlowered circuit as (diag, off, partner) on the sector
-    `basis`: new = diag*old + off*old[partner].  A gate's unitary is
-    circuit_unitary of the gate moved to qubits 0..k-1 (the lowered gate run
-    through the engine kernels); within one particle number it may only keep
-    a state or flip all its qubits (01 <-> 10)."""
+    `basis`: new = diag*old + off*old[partner], or diag*old where partner is
+    None (a diagonal gate, such as Rz).  A gate's unitary is circuit_unitary of
+    the gate moved to qubits 0..k-1 (the lowered gate run through the engine
+    kernels); within one particle number it may only keep a state or flip all
+    its qubits (01 <-> 10)."""
     step: SectorStep = []
     for g in circuit.gates:
         k = len(g.qubits)
@@ -106,32 +107,34 @@ def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
         idx = sum(((basis >> q) & 1) << j for j, q in enumerate(g.qubits))
         # where off is 0 the flipped state is outside the sector: any partner will do
         partner = np.searchsorted(basis, basis ^ sum(1 << q for q in g.qubits))
-        step.append((u.diagonal()[idx], off[idx], np.minimum(partner, len(basis) - 1)))
+        partner = np.minimum(partner, len(basis) - 1) if off[idx].any() else None
+        step.append((u.diagonal()[idx], off[idx], partner))
     return step
 
 
 def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
     """Apply a compiled sector step to sector amplitudes; returns a new array."""
     for diag, off, partner in step:
-        amps = diag * amps + off * amps[partner]
+        amps = diag * amps if partner is None else diag * amps + off * amps[partner]
     return amps
 
 
-def expectation_z(psi: StateVector, site: int) -> float:
-    """<Z_site> from exact amplitudes; +1 for bit 0, -1 for bit 1."""
-    if not 0 <= site < psi.L:
-        raise IndexError(f"site {site} out of range [0, {psi.L - 1}]")
-    probs = np.abs(psi.amplitudes) ** 2
-    bits = (psi.indices >> site) & 1
-    return float(np.sum(probs * (1.0 - 2.0 * bits)))
+def z_vector(state: StateVector | CountsTable) -> np.ndarray:
+    """<Z_i> of every site i (+1 for bit 0, -1 for bit 1), weighing each basis index by
+    |amplitude|^2, or by its integer count (an exact sum) divided once by the shots."""
+    weights, total = ((state.counts, state.shots) if isinstance(state, CountsTable)
+                      else (np.abs(state.amplitudes) ** 2, 1))
+    return np.sum(weights * (1 - 2 * site_bits(state.indices, state.L)), axis=1) / total
 
 
-def counts_expectation_z(counts: CountsTable, site: int) -> float:
-    """<Z_site> estimated from a counts table."""
-    if not 0 <= site < counts.L:
-        raise IndexError(f"site {site} out of range [0, {counts.L - 1}]")
-    bits = (counts.indices >> site) & 1
-    return int(np.sum(counts.counts * (1 - 2 * bits))) / counts.shots
+def expectation_z(state: StateVector | CountsTable, site: int) -> float:
+    """<Z_site> of a state or a counts table: one entry of z_vector."""
+    if not 0 <= site < state.L:
+        raise IndexError(f"site {site} out of range [0, {state.L - 1}]")
+    return float(z_vector(state)[site])
+
+
+counts_expectation_z = expectation_z  # the name callers use for a counts table
 
 
 def sample_counts(psi: StateVector, shots: int, seed) -> CountsTable:

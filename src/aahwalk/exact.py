@@ -93,6 +93,11 @@ def sector_basis(L: int, n: int) -> np.ndarray:
                            for occ in combinations(range(L), n)), dtype=np.int64)
 
 
+def site_bits(indices: np.ndarray, L: int) -> np.ndarray:
+    """(L, n) occupation matrix: row i holds bit i (site i) of each basis index."""
+    return (indices >> np.arange(L)[:, None]) & 1
+
+
 def sector_hamiltonian(params: ModelParams, basis: np.ndarray) -> np.ndarray:
     """H on the span of `basis` (one particle-number sector), as a real matrix.
 
@@ -101,7 +106,7 @@ def sector_hamiltonian(params: ModelParams, basis: np.ndarray) -> np.ndarray:
     (V/2) sum_b z_b z_{b+1} (paper-literal) or V sum_b n_b n_{b+1} (exact-jw).
     This is the projection of the dense Hamiltonian, constant part included.
     """
-    bits = (basis[:, None] >> np.arange(params.L)) & 1
+    bits = site_bits(basis, params.L).T
     if params.flavor == FLAVOR_PAPER_LITERAL:
         z = 1 - 2 * bits
         diag = params.V / 2 * np.sum(z[:, :-1] * z[:, 1:], axis=1)

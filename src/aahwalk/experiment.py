@@ -20,7 +20,7 @@ from .engine import apply_circuit  # noqa: F401  bound for the benchmark's trace
 from .errors import ConfigError
 from .exact import StateVector, sector_basis, sector_hamiltonian, spectrum
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
-from .model import FLAVOR_PAPER_LITERAL, ModelParams
+from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite
 from .noise import ReadoutModel, corrupt
 from .observables import (
     SOURCE_EXACT,
@@ -72,7 +72,7 @@ class ExperimentConfig:
             raise ConfigError("initial_occupations: need at least one particle")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+        if not (is_finite(self.t_max) and self.t_max >= 0):
             raise ConfigError(f"t_max: must be finite and >= 0, got {self.t_max}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown {self.scheme!r}, expected one of {SCHEMES}")
@@ -83,7 +83,7 @@ class ExperimentConfig:
         if self.readout is not None:
             try:
                 self.readout.rates(self.model.L)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"readout: {exc}") from exc
         if self.mitigation and (self.readout is None or self.shots == 0):
             raise ConfigError("mitigation: requires readout present and shots > 0")
@@ -109,12 +109,14 @@ class ExperimentConfig:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Strict parse: unknown keys are errors."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"expected a JSON object, got {d!r}")
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "model" not in d:
-        raise ConfigError("model: missing")
-    mdict = d["model"]
+    mdict = d.get("model")
+    if not isinstance(mdict, dict):
+        raise ConfigError(f"model: expected an object, got {mdict!r}")
     bad = set(mdict) - _MODEL_KEYS
     if bad:
         raise ConfigError(f"model: unknown keys {sorted(bad)}")
@@ -127,19 +129,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         r = d["readout"]
         if not isinstance(r, dict) or set(r) != {"p01", "p10"}:
             raise ConfigError(f"readout: expected exactly the keys p01 and p10, got {r!r}")
-        p01 = tuple(r["p01"]) if isinstance(r["p01"], list) else r["p01"]
-        p10 = tuple(r["p10"]) if isinstance(r["p10"], list) else r["p10"]
-        readout = ReadoutModel(p01, p10)
-    if "initial_occupations" not in d:
-        raise ConfigError("initial_occupations: missing")
-    occ = d["initial_occupations"]
+        for key, v in r.items():  # no bools, no strings
+            if not all(type(p) in (int, float) for p in (v if isinstance(v, list) else [v])):
+                raise ConfigError(f"readout: {key}: expected a number or a list of numbers,"
+                                  f" got {v!r}")
+        readout = ReadoutModel(**{k: tuple(v) if isinstance(v, list) else v for k, v in r.items()})
+    occ = d.get("initial_occupations")
     if not isinstance(occ, list) or not all(type(s) is int for s in occ):  # no bools
         raise ConfigError(f"initial_occupations: expected a list of integers, got {occ!r}")
-    for key, kinds, what in (("steps", int, "an integer"), ("shots", int, "an integer"),
-                             ("seed", int, "an integer"), ("t_max", (int, float), "a number")):
-        v = d.get(key, 0)
-        if isinstance(v, bool) or not isinstance(v, kinds):
-            raise ConfigError(f"{key}: expected {what}, got {v!r}")
+    for key, kinds, what in (("steps", (int,), "an integer"), ("shots", (int,), "an integer"),
+                             ("seed", (int,), "an integer"), ("t_max", (int, float), "a number"),
+                             ("mitigation", (bool,), "true or false"),
+                             ("outputs", (list,), "a list")):
+        if key in d and type(d[key]) not in kinds:  # exact types: a bool is not an int here
+            raise ConfigError(f"{key}: expected {what}, got {d[key]!r}")
     cfg = ExperimentConfig(
         model=model,
         initial_occupations=list(occ),
@@ -193,7 +196,11 @@ def run(config: ExperimentConfig) -> RunRecord:
     params = config.model
     n_particles = len(config.initial_occupations)
     basis = sector_basis(params.L, n_particles)
-    decomp = spectrum(sector_hamiltonian(params, basis))
+    with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
+        H = sector_hamiltonian(params, basis)
+        if not np.isfinite(np.abs(H).sum(axis=1).max() * config.t_max):
+            raise ConfigError(f"model: energies times t_max={config.t_max} overflow a float")
+    decomp = spectrum(H)
     start = np.searchsorted(basis, sum(1 << s for s in config.initial_occupations))
     c0 = decomp.eigenvectors[start]  # U^dag e_start; the sector block is real
     dt = config.t_max / config.steps
@@ -232,8 +239,14 @@ def run(config: ExperimentConfig) -> RunRecord:
             if want_corr:
                 correlations[src].append(correlation(state, t, src, model=model))
 
+    def entropy(profile: DensityProfile) -> float:
+        try:
+            return participation_entropy(profile, 2, n_particles)
+        except ValueError as exc:  # a measured profile in which no shot read a particle
+            raise ConfigError(f"outputs: S2: {exc}") from exc
+
     scalars = {"P0": edge_probability_P0, "R2n": radial_distribution, "nE": edge_density_nE,
-               "S2": lambda p: participation_entropy(p, 2, n_particles)}
+               "S2": entropy}
     series = {src: {name: [scalars[name](p) for p in profiles[src]] for name in SCALAR_NAMES
                     if name in config.outputs} for src in sources}
 
@@ -287,10 +300,8 @@ def _density_csv(record: RunRecord) -> str:
 def _scalars_csv(record: RunRecord) -> str:
     lines = ["step,time,name,value,source"]
     for src in sorted(record.series):
-        for name in SCALAR_NAMES:
-            if name not in record.series[src]:
-                continue
-            for step, val in enumerate(record.series[src][name]):
+        for name, values in record.series[src].items():  # in SCALAR_NAMES order
+            for step, val in enumerate(values):
                 t = record.times[step]
                 lines.append(f"{step},{t!r},{name},{val!r},{src}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 FLAVOR_PAPER_LITERAL = "paper-literal"
@@ -49,11 +50,17 @@ class ModelParams:
             raise ValueError(f"L must be in [2, {MAX_INDEX_SITES}], got {self.L}")
         if self.T_period < 1:
             raise ValueError(f"T_period must be a positive integer, got {self.T_period}")
-        for name in ("J", "lambda_J", "phi_J", "V"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("J", "lambda_J", "phi_J", "V", "T_period"):
+            if not is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
+
+
+def is_finite(x) -> bool:
+    """A real number that is finite as a float: not NaN, not +-inf, and not an
+    int beyond the float range (math.isfinite raises OverflowError on those)."""
+    return isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
 
 
 def bond_coefficient(params: ModelParams, b: int) -> float:

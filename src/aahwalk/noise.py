@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CountsTable, counts_expectation_z
+from .engine import CountsTable, z_vector
+from .engine import counts_expectation_z  # noqa: F401  bound for the benchmark's tracer
+from .exact import site_bits
 from .errors import NonInvertibleChannelError, ResourceLimitError
 
 MAX_FULL_MITIGATION_SITES = 12
@@ -39,7 +41,7 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     p01, p10 = model.rates(L)
     rng = np.random.default_rng(seed)
     sites = np.arange(L)
-    bits = ((counts.indices[:, None] >> sites) & 1).astype(np.uint8)
+    bits = site_bits(counts.indices, L).T.astype(np.uint8)
     # Shots go in order of the site-0-first bit string (site 0 most
     # significant), which fixes which random draw each shot's flips use.
     order = np.argsort(bits @ (1 << sites[::-1]), kind="stable")
@@ -51,14 +53,22 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     return CountsTable(counts.shots, indices, out, L, seed)
 
 
-def mitigate_expectation_z(counts: CountsTable, model: ReadoutModel, site: int) -> float:
-    """Invert the single-qubit readout channel on the measured <Z_site>."""
+def mitigate_z_vector(counts: CountsTable, model: ReadoutModel) -> np.ndarray:
+    """Invert each qubit's readout channel on the measured <Z_i>, all sites at once."""
+    if not isinstance(counts, CountsTable):  # z_vector would take a state's exact <Z_i>
+        raise TypeError("mitigated estimates require a CountsTable")
     p01, p10 = model.rates(counts.L)
-    scale = 1.0 - p01[site] - p10[site]
-    if scale <= 0:
-        raise NonInvertibleChannelError(f"p01 + p10 >= 1 at qubit {site}")
-    z_meas = counts_expectation_z(counts, site)
-    return (z_meas - (p10[site] - p01[site])) / scale
+    scale = 1.0 - p01 - p10
+    if np.any(scale <= 0):
+        raise NonInvertibleChannelError(f"p01 + p10 >= 1 at qubit {np.argmax(scale <= 0)}")
+    return (z_vector(counts) - (p10 - p01)) / scale
+
+
+def mitigate_expectation_z(counts: CountsTable, model: ReadoutModel, site: int) -> float:
+    """Mitigated <Z_site>: one entry of mitigate_z_vector."""
+    if not 0 <= site < counts.L:
+        raise IndexError(f"site {site} out of range [0, {counts.L - 1}]")
+    return float(mitigate_z_vector(counts, model)[site])
 
 
 def mitigate_counts_full(counts: CountsTable, model: ReadoutModel) -> np.ndarray:

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CountsTable, counts_expectation_z, expectation_z
-from .exact import StateVector
-from .noise import ReadoutModel, mitigate_expectation_z
+from .engine import expectation_z, z_vector
+from .engine import counts_expectation_z  # noqa: F401  bound for the benchmark's tracer
+from .exact import StateVector, site_bits
+from .noise import ReadoutModel, mitigate_z_vector
+from .noise import mitigate_expectation_z  # noqa: F401  bound for the benchmark's tracer
 
 SOURCE_EXACT = "exact"
 SOURCE_TROTTER_EXACT = "trotter-exact"
@@ -40,30 +42,15 @@ class CorrelationMatrix:
     source: str
 
 
-def _z_vector(state, model: ReadoutModel | None = None) -> np.ndarray:
-    if model is not None:
-        if not isinstance(state, CountsTable):
-            raise TypeError("mitigated estimates require a CountsTable")
-        return np.array([mitigate_expectation_z(state, model, i)
-                         for i in range(state.L)])
-    if isinstance(state, StateVector):
-        return np.array([expectation_z(state, i) for i in range(state.L)])
-    if isinstance(state, CountsTable):
-        return np.array([counts_expectation_z(state, i) for i in range(state.L)])
-    raise TypeError(f"expected StateVector or CountsTable, got {type(state)!r}")
-
-
 def density(state, site: int) -> float:
     """Occupation probability of one site from a state or counts table."""
-    z = (expectation_z(state, site) if isinstance(state, StateVector)
-         else counts_expectation_z(state, site))
-    return (1.0 - z) / 2.0
+    return (1.0 - expectation_z(state, site)) / 2.0
 
 
 def density_profile(state, time: float, source: str,
                     model: ReadoutModel | None = None) -> DensityProfile:
     """Full site-resolved density; pass a ReadoutModel to apply mitigation."""
-    z = _z_vector(state, model)
+    z = z_vector(state) if model is None else mitigate_z_vector(state, model)
     return DensityProfile(time, (1.0 - z) / 2.0, source)
 
 
@@ -88,7 +75,7 @@ def correlation(state, time: float = 0.0, source: str = SOURCE_EXACT,
 
     Pass a ReadoutModel to build it from mitigated <Z_i>.
     """
-    z = _z_vector(state, model)
+    z = z_vector(state) if model is None else mitigate_z_vector(state, model)
     return CorrelationMatrix(time, np.outer(z, z), source)
 
 
@@ -96,7 +83,7 @@ def connected_correlation(psi: StateVector, time: float = 0.0,
                           source: str = SOURCE_EXACT) -> CorrelationMatrix:
     """<Z_i Z_j> - <Z_i><Z_j> from exact amplitudes (not the literal form)."""
     probs = np.abs(psi.amplitudes) ** 2
-    zbits = 1.0 - 2.0 * np.array([(psi.indices >> i) & 1 for i in range(psi.L)])
+    zbits = 1.0 - 2.0 * site_bits(psi.indices, psi.L)
     z = zbits @ probs
     zz = (zbits * probs) @ zbits.T
     return CorrelationMatrix(time, zz - np.outer(z, z), source)
@@ -111,8 +98,9 @@ def participation_entropy(profile: DensityProfile, k: int = 2, N: int = 1) -> fl
         raise ValueError("entropy order k must be an integer >= 2")
     if N < 1:
         raise ValueError("particle count N must be >= 1")
-    total = float(np.sum(profile.values))
-    if total <= 0:
-        raise ValueError("participation entropy undefined for an all-zero profile")
     p = profile.values / N
-    return float(math.log(float(np.sum(p**k)) / N) / (1 - k))
+    weight = float(np.sum(p**k))  # a mitigated profile may hold negative densities
+    if weight <= 0:
+        raise ValueError(f"participation entropy of the {profile.source} profile at"
+                         f" t={profile.time} undefined: sum of p_i^{k} is {weight}")
+    return float(math.log(weight / N) / (1 - k))

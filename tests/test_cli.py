@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from aahwalk.circuit import SCHEMES
 from aahwalk.cli import main
 from aahwalk.exact import MAX_SECTOR_STATES
-from aahwalk.experiment import hamiltonian_matrix
+from aahwalk.experiment import OUTPUT_NAMES, hamiltonian_matrix
 from aahwalk.model import FLAVORS, MAX_INDEX_SITES, ModelParams
 
 
+_HUGE = 10**400  # an integer beyond the float range
 _MODEL = {"J": 1.0, "lambda_J": 0.9, "T_period": 2, "phi_J": 0.0, "V": 0.0, "L": 4}
 
 
@@ -93,9 +100,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ("t_max", "1.0"), ("t_max", float("nan")), ("t_max", float("inf")),
     ("initial_occupations", 3), ("initial_occupations", ["a"]),
     ("initial_occupations", [True]),
+    pytest.param("t_max", _HUGE, id="t_max-huge"), ("model", 5), ("outputs", 5), ("mitigation", "no"),
+    pytest.param("readout", {"p01": "0.1", "p10": 0.02}, id="readout-string"), pytest.param("readout", {"p01": _HUGE, "p10": 0.02}, id="readout-huge"),
 ])
 def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
-    cfg = _write_config(tmp_path, **{"shots": 10, field: value})
+    readout = {"p01": 0.02, "p10": 0.02}  # so that a truthy non-bool mitigation is the only fault
+    cfg = _write_config(tmp_path, **{"shots": 10, "readout": readout, field: value})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
@@ -104,6 +114,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("value, field", [
     *[(v, f) for f in ("J", "phi_J", "V") for v in (float("nan"), float("inf"))],
     (4.0, "L"), (True, "L"), (2.0, "T_period"),
+    pytest.param(_HUGE, "J", id="huge-J"), pytest.param(_HUGE, "T_period", id="huge-T_period"),
 ])
 def test_nonfinite_model_exits_2(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, model={**_MODEL, field: value})
@@ -123,6 +134,77 @@ def test_bad_readout_exits_2(tmp_path, capsys, readout):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: readout: ") and err.count("\n") == 1
+
+
+# Values of the wrong type or out of range; no positive integer beyond 5, so
+# that no size field (L, steps, shots) asks for a run that does not finish.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+                  st.just(-_HUGE), st.integers(-2, 0), st.lists(st.integers(-1, 5), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+_ANY = st.one_of(_JUNK, st.just(_HUGE))  # for fields whose size does not set the run's cost
+_SIZE_FIELDS = ("L", "steps", "shots")
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A valid config with up to three faults: a key deleted, added or given a bad
+    value; one draw in eight is not an object at all."""
+    if draw(st.integers(0, 7)) == 7:
+        return draw(_ANY)
+    L = draw(st.integers(2, 8))
+    model = {"J": draw(st.floats(-2, 2)), "lambda_J": draw(st.floats(-1, 1)),
+             "T_period": draw(st.integers(1, 4)), "phi_J": draw(st.floats(-4, 4)),
+             "V": draw(st.floats(-3, 3)), "L": L, "flavor": draw(st.sampled_from(FLAVORS))}
+    p = st.floats(0, 0.5, exclude_max=True)
+    rate = st.one_of(p, st.lists(p, min_size=L, max_size=L))
+    readout = draw(st.none() | st.fixed_dictionaries({"p01": rate, "p10": rate}))
+    shots = draw(st.integers(0, 256))
+    config = {"model": model, "t_max": draw(st.floats(0, 3)), "steps": draw(st.integers(1, 5)),
+              "initial_occupations": draw(st.lists(st.integers(0, L - 1), min_size=1,
+                                                   max_size=min(L, 4), unique=True)),
+              "scheme": draw(st.sampled_from(SCHEMES)), "shots": shots, "readout": readout,
+              "mitigation": readout is not None and shots > 0 and draw(st.booleans()),
+              "seed": draw(st.integers(0, 2**70)),
+              "outputs": draw(st.lists(st.sampled_from(OUTPUT_NAMES), max_size=6, unique=True))}
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([config, model] + [readout] * (readout is not None)))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        elif target is readout:
+            target[key] = draw(_ANY | st.lists(st.floats(0, 0.6) | _ANY, max_size=9))
+        else:
+            target[key] = draw(_JUNK if key in _SIZE_FIELDS else _ANY)
+    return config
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(config=_fuzz_config())
+@example(config={"model": {**_MODEL, "J": 1e308}, "initial_occupations": [0]})  # NaN densities
+@example(config={"model": {**_MODEL, "J": 1e308, "lambda_J": 1e308},  # eigh did not converge
+                 "initial_occupations": [0]})
+@example(config={"model": _MODEL, "initial_occupations": [0], "shots": 1,  # no shot reads a 1
+                 "readout": {"p01": 0.1, "p10": 0.45}, "outputs": ["S2"]})
+def test_run_fuzzed_config_exit_codes(config):
+    """`aahwalk run` on any JSON config exits 0, 2, 3 or 4 and never raises; on
+    a non-zero exit it writes exactly one stderr line, on exit 0 no NaN or inf.
+
+    Configs mix valid values with wrong types, NaN/inf, integers beyond the
+    float range, missing and extra keys and bad readout shapes.  Size fields
+    stay where a run finishes: L <= 8, steps <= 5, shots <= 256 (and at most
+    4 particles), so no generated config asks for a large run.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", path, "--out", os.path.join(tmp, "out")])
+        written = [p.read_text() for p in pathlib.Path(tmp, "out").iterdir()] if code == 0 else []
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") == (code != 0)
+    assert not any("nan" in text or "inf" in text for text in written)
 
 
 def test_run_fourteen_sites_two_particles(tmp_path):

@@ -23,6 +23,7 @@ from aahwalk.engine import (
     expectation_z,
     index_to_bitstring,
     sample_counts,
+    z_vector,
 )
 from aahwalk.errors import LoweringRequiredError
 from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis
@@ -98,8 +99,9 @@ def test_expectation_z_examples():
     psi = prepare_fock_state(3, [1])
     assert expectation_z(psi, 0) == pytest.approx(1.0)
     assert expectation_z(psi, 1) == pytest.approx(-1.0)
-    with pytest.raises(IndexError):
-        expectation_z(psi, 3)
+    for site in (3, -1):  # an indexed vector would wrap -1 around to the last site
+        with pytest.raises(IndexError):
+            expectation_z(psi, site)
 
 
 def test_expectation_z_preserved_by_circuit_norm():
@@ -186,3 +188,25 @@ def test_sector_state_observables():
     assert [expectation_z(psi, i) for i in range(3)] == pytest.approx([0.0, 1.0, 0.0])
     counts = sample_counts(psi, 1000, seed=2)
     assert set(_hist(counts)) == {1, 4} and counts.counts.sum() == 1000
+
+
+def _random_state(L, basis, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**L if basis is None else len(basis)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return StateVector(amps / np.linalg.norm(amps), L, basis)
+
+
+@pytest.mark.parametrize("L, n", [(8, 2), (40, 2), (63, 1), (8, None)])
+def test_z_vector_matches_per_site_sum(L, n):
+    basis = None if n is None else sector_basis(L, n)
+    for seed in range(3):
+        psi = _random_state(L, basis, seed)
+        probs = np.abs(psi.amplitudes) ** 2
+        oracle = [np.sum(probs * (1.0 - 2.0 * ((psi.indices >> i) & 1))) for i in range(L)]
+        assert np.array_equal(z_vector(psi), oracle)  # bit for bit, not within a tolerance
+        counts = sample_counts(psi, 1000, seed)
+        oracle = [int(np.sum(counts.counts * (1 - 2 * ((counts.indices >> i) & 1)))) / 1000
+                  for i in range(L)]
+        assert np.array_equal(z_vector(counts), oracle)
+        assert counts_expectation_z(counts, L - 1) == oracle[-1]

@@ -3,7 +3,7 @@ import pytest
 
 from aahwalk.engine import CountsTable, bitstring_to_index, counts_expectation_z, sample_counts
 from aahwalk.errors import NonInvertibleChannelError, ResourceLimitError
-from aahwalk.exact import exact_evolve, prepare_fock_state
+from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis
 from aahwalk.experiment import hamiltonian_matrix
 from aahwalk.model import ModelParams
 from aahwalk.noise import (
@@ -11,6 +11,7 @@ from aahwalk.noise import (
     corrupt,
     mitigate_counts_full,
     mitigate_expectation_z,
+    mitigate_z_vector,
 )
 
 
@@ -154,3 +155,23 @@ def test_non_invertible_channel_rejected():
 
 def test_non_invertible_error_type_exists():
     assert issubclass(NonInvertibleChannelError, Exception)
+
+
+def test_mitigate_z_vector_matches_per_site():
+    L, basis = 8, sector_basis(8, 2)
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    psi = StateVector(amps / np.linalg.norm(amps), L, basis)
+    model = ReadoutModel(tuple(rng.uniform(0, 0.3, L)), tuple(rng.uniform(0, 0.3, L)))
+    counts = corrupt(sample_counts(psi, 4096, seed=1), model, seed=2)
+    p01, p10 = model.rates(L)
+    oracle = []
+    for i in range(L):
+        bits = (counts.indices >> i) & 1
+        z = int(np.sum(counts.counts * (1 - 2 * bits))) / counts.shots
+        oracle.append((z - (p10[i] - p01[i])) / (1.0 - p01[i] - p10[i]))
+    assert np.array_equal(mitigate_z_vector(counts, model), oracle)
+    assert mitigate_expectation_z(counts, model, 3) == oracle[3]
+    for site in (L, -1):
+        with pytest.raises(IndexError):
+            mitigate_expectation_z(counts, model, site)
