@@ -7,7 +7,10 @@ occupied therefore lives at index 4.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -19,6 +22,10 @@ from .model import FLAVOR_PAPER_LITERAL, ModelParams, bond_coefficient
 HERMITICITY_TOL = 1e-9
 # The one size guard of the run path: the sector dimension C(L, N).
 MAX_SECTOR_STATES = 4096
+# Below this dimension eigh runs on one BLAS thread.  From n = 26 on, OpenBLAS's
+# divide-and-conquer eigensolver hands work to a second thread, which then spins
+# on its core for a while after every call; below ~256 that thread gains nothing.
+ONE_THREAD_EIGH_DIM = 256
 
 
 @dataclass
@@ -70,10 +77,50 @@ def _check_hermitian(H: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian")
 
 
+@functools.cache
+def _openblas_thread_counts() -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process,
+    numpy's among them; none where /proc/self/maps does not exist."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:  # e.g. a mapping of a file deleted since
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def _one_blas_thread():
+    counts = _openblas_thread_counts()
+    before = [get() for get, _ in counts]
+    for _, put in counts:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(counts, before):
+            put(n)
+
+
 def spectrum(H: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix; eigenvalues come back ascending."""
     _check_hermitian(H)
-    evals, evecs = np.linalg.eigh(H)
+    with _one_blas_thread() if H.shape[0] < ONE_THREAD_EIGH_DIM else nullcontext():
+        evals, evecs = np.linalg.eigh(H)
     return SpectralDecomposition(evals, evecs)
 
 

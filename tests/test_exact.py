@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aahwalk.exact import (
+    _openblas_thread_counts,
     exact_evolve,
     prepare_fock_state,
     sector_basis,
@@ -109,6 +110,30 @@ def test_spectrum_reconstruction():
     d = spectrum(H)
     rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.conj().T
     assert np.linalg.norm(rebuilt - H) < 1e-9
+
+
+def test_small_spectrum_runs_on_one_blas_thread(monkeypatch):
+    # C(8, 2) = 28 is past n = 26, where OpenBLAS's eigh starts to use a second
+    # thread; under the one-thread guard the result is unchanged and the
+    # thread count is restored, also when eigh raises
+    H = sector_hamiltonian(ModelParams(lambda_J=0.9, V=2.0, L=8, flavor="exact-jw"),
+                           sector_basis(8, 2))
+    counts = _openblas_thread_counts()
+    before = [get() for get, _ in counts]
+    d = spectrum(H)
+    evals, evecs = np.linalg.eigh(H)
+    assert np.array_equal(d.eigenvalues, evals) and np.array_equal(d.eigenvectors, evecs)
+    seen = []
+
+    def failing_eigh(a):
+        seen.append([get() for get, _ in counts])
+        raise np.linalg.LinAlgError("stub")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectrum(H)
+    assert seen == [[1] * len(counts)]
+    assert [get() for get, _ in counts] == before
 
 
 def test_edge_modes_even_chain():
