@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LoweringRequiredError, ResourceLimitError
+from .exact import StateVector
 from .model import FLAVOR_EXACT_JW, ModelParams, bond_coefficient
 
 KIND_X = "X"
@@ -169,18 +170,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
     Applies the statevector engine's kernels to every basis column at once.
     """
-    from .engine import _apply_1q, _apply_cnot  # engine imports this module
+    from .engine import apply_circuit  # engine imports this module
 
     if circuit.L > MAX_UNITARY_SITES:
         raise ResourceLimitError(f"circuit_unitary limited to L <= {MAX_UNITARY_SITES}")
     c = circuit if circuit.is_lowered() else lower(circuit)
-    U = np.eye(2**c.L, dtype=complex)
-    for g in c.gates:
-        if g.kind == KIND_CNOT:
-            _apply_cnot(U, g.qubits[0], g.qubits[1])
-        else:
-            _apply_1q(U, gate_matrix_1q(g), g.qubits[0])
-    return U
+    return apply_circuit(StateVector(np.eye(2**c.L, dtype=complex), c.L), c).amplitudes
 
 
 def export_qasm(circuit: Circuit) -> str:

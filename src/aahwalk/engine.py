@@ -8,6 +8,7 @@ renders as "00100".
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -98,7 +99,7 @@ def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
     step: SectorStep = []
     for g in circuit.gates:
         k = len(g.qubits)
-        u = circuit_unitary(Circuit(k, [Gate(g.kind, tuple(range(k)), g.angles)]))
+        u = _local_unitary(g.kind, k, g.angles)
         weight = np.array([bin(v).count("1") for v in range(2**k)])
         # flipping every qubit of local state l gives 2**k - 1 - l: u's anti-diagonal
         off = np.where(weight == weight[::-1], u[:, ::-1].diagonal(), 0)
@@ -112,6 +113,14 @@ def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
     return step
 
 
+@functools.lru_cache
+def _local_unitary(kind: str, k: int, angles: tuple[float, ...]) -> np.ndarray:
+    """circuit_unitary of one gate on qubits 0..k-1, read-only: compiles share it."""
+    u = circuit_unitary(Circuit(k, [Gate(kind, tuple(range(k)), angles)]))
+    u.flags.writeable = False
+    return u
+
+
 def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
     """Apply a compiled sector step to sector amplitudes; returns a new array."""
     for diag, off, partner in step:
@@ -119,12 +128,17 @@ def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def z_sum(weights: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * signs[i, k] per site i; signs = 1 - 2 * site_bits (bit 0: +1)."""
+    return np.sum(weights * signs, axis=1)
+
+
 def z_vector(state: StateVector | CountsTable) -> np.ndarray:
-    """<Z_i> of every site i (+1 for bit 0, -1 for bit 1), weighing each basis index by
-    |amplitude|^2, or by its integer count (an exact sum) divided once by the shots."""
+    """<Z_i> of every site i, weighing each basis index by |amplitude|^2, or by its
+    integer count (an exact sum) divided once by the shots."""
     weights, total = ((state.counts, state.shots) if isinstance(state, CountsTable)
                       else (np.abs(state.amplitudes) ** 2, 1))
-    return np.sum(weights * (1 - 2 * site_bits(state.indices, state.L)), axis=1) / total
+    return z_sum(weights, 1 - 2 * site_bits(state.indices, state.L)) / total
 
 
 def expectation_z(state: StateVector | CountsTable, site: int) -> float:

@@ -15,27 +15,20 @@ import numpy as np
 from . import __version__
 from .circuit import SCHEMES, trotter_circuit
 from .circuit import lower  # noqa: F401  bound for the benchmark's tracer (perfbench/spans.py)
-from .engine import RNG_ALGORITHM, apply_sector_step, compile_sector_step, sample_counts
+from .engine import (RNG_ALGORITHM, apply_sector_step, compile_sector_step, sample_counts,
+                     z_sum, z_vector)
 from .engine import apply_circuit  # noqa: F401  bound for the benchmark's tracer
-from .errors import ConfigError
-from .exact import StateVector, sector_basis, sector_hamiltonian, spectrum
+from .errors import ConfigError, ResourceLimitError
+from .exact import (MAX_SECTOR_STATES, StateVector, sector_basis, sector_hamiltonian, site_bits,
+                    spectrum)
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
 from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite
-from .noise import ReadoutModel, corrupt
-from .observables import (
-    SOURCE_EXACT,
-    SOURCE_TROTTER_EXACT,
-    SOURCE_TROTTER_MITIGATED,
-    SOURCE_TROTTER_SAMPLED,
-    CorrelationMatrix,
-    DensityProfile,
-    correlation,
-    density_profile,
-    edge_density_nE,
-    edge_probability_P0,
-    participation_entropy,
-    radial_distribution,
-)
+from .noise import ReadoutModel, corrupt, mitigate_z
+from .observables import (SOURCE_EXACT, SOURCE_TROTTER_EXACT, SOURCE_TROTTER_MITIGATED,
+                          SOURCE_TROTTER_SAMPLED, CorrelationMatrix, DensityProfile,
+                          participation_entropy)
+from .observables import (  # noqa: F401  bound for the benchmark's tracer
+    correlation, density_profile, edge_density_nE, edge_probability_P0, radial_distribution)
 from .pauli import build_fermionic_hamiltonian_matrix, build_spin_hamiltonian, to_matrix
 
 OUTPUT_NAMES = ("density", "P0", "R2n", "nE", "S2", "correlation")
@@ -92,19 +85,7 @@ class ExperimentConfig:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "model": dataclasses.asdict(self.model),
-            "initial_occupations": list(self.initial_occupations),
-            "t_max": self.t_max,
-            "steps": self.steps,
-            "scheme": self.scheme,
-            "shots": self.shots,
-            "readout": None if self.readout is None
-            else {"p01": self.readout.p01, "p10": self.readout.p10},
-            "mitigation": self.mitigation,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-        }
+        return dataclasses.asdict(self)  # model and readout become nested dicts
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -191,11 +172,22 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
 
 def run(config: ExperimentConfig) -> RunRecord:
     """Full pipeline in the initial state's particle-number sector: prepare,
-    evolve (exact and Trotter circuit), measure, observe."""
+    evolve (exact and Trotter circuit), measure each source into a (steps+1, L)
+    <Z> table, then derive every observable from the tables."""
     config.validate()
-    params = config.model
+    params, L = config.model, config.model.L
+    want_corr = "correlation" in config.outputs
+    # A run's largest arrays, the (steps+1) x L <Z> tables (x L for correlations) and
+    # corrupt's shots x L bits, stay within the size of the largest U the sector guard admits.
+    limit, width = MAX_SECTOR_STATES**2, L * L if want_corr else L
+    if (config.steps + 1) * width > limit:
+        raise ResourceLimitError(f"steps: at most {limit // width - 1} at L={L} with these"
+                                 f" outputs (a time table over {limit} entries)")
+    if config.shots * L > limit:
+        raise ResourceLimitError(f"shots: at most {limit // L} at L={L}"
+                                 f" (a shots x L array over {limit} entries)")
     n_particles = len(config.initial_occupations)
-    basis = sector_basis(params.L, n_particles)
+    basis = sector_basis(L, n_particles)
     with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
         H = sector_hamiltonian(params, basis)
         if not np.isfinite(np.abs(H).sum(axis=1).max() * config.t_max):
@@ -206,16 +198,10 @@ def run(config: ExperimentConfig) -> RunRecord:
     dt = config.t_max / config.steps
     step = compile_sector_step(trotter_circuit(params, dt, 1, config.scheme), basis)
 
-    sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT]
-    if config.shots > 0:
-        sources.append(SOURCE_TROTTER_SAMPLED)
-        if config.mitigation:
-            sources.append(SOURCE_TROTTER_MITIGATED)
-
+    sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT] + [SOURCE_TROTTER_SAMPLED] * (config.shots > 0)
     times = [s * dt for s in range(config.steps + 1)]
-    profiles: dict[str, list[DensityProfile]] = {s: [] for s in sources}
-    correlations: dict[str, list[CorrelationMatrix]] = {s: [] for s in sources}
-    want_corr = "correlation" in config.outputs
+    z = {src: np.empty((len(times), L)) for src in sources}  # row s: <Z_i> at times[s]
+    signs = 1 - 2 * site_bits(basis, L)
 
     trot = (np.arange(len(basis)) == start).astype(complex)
     for s, t in enumerate(times):
@@ -224,31 +210,43 @@ def run(config: ExperimentConfig) -> RunRecord:
         # two real products: a complex one would copy U to complex every step
         v = np.exp(-1j * decomp.eigenvalues * t) * c0
         amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
-        psi_trot = StateVector(trot, params.L, basis)
-        states = {SOURCE_EXACT: StateVector(amps, params.L, basis), SOURCE_TROTTER_EXACT: psi_trot}
+        z[SOURCE_EXACT][s] = z_sum(np.abs(amps) ** 2, signs)
+        z[SOURCE_TROTTER_EXACT][s] = z_sum(np.abs(trot) ** 2, signs)
         if config.shots > 0:
             # seed last: numpy splits a seed >= 2**32 into words, which could alias s
-            counts = sample_counts(psi_trot, config.shots, (_SAMPLE, s, config.seed))
+            counts = sample_counts(StateVector(trot, L, basis), config.shots,
+                                   (_SAMPLE, s, config.seed))
             if config.readout is not None:
                 counts = corrupt(counts, config.readout, (_CORRUPT, s, config.seed))
-            states[SOURCE_TROTTER_SAMPLED] = states[SOURCE_TROTTER_MITIGATED] = counts
-        for src in sources:
-            state = states[src]
-            model = config.readout if src == SOURCE_TROTTER_MITIGATED else None
-            profiles[src].append(density_profile(state, t, src, model=model))
-            if want_corr:
-                correlations[src].append(correlation(state, t, src, model=model))
+            z[SOURCE_TROTTER_SAMPLED][s] = z_vector(counts)
+    if config.mitigation:
+        sources.append(SOURCE_TROTTER_MITIGATED)
+        z[SOURCE_TROTTER_MITIGATED] = mitigate_z(z[SOURCE_TROTTER_SAMPLED], config.readout)
 
-    def entropy(profile: DensityProfile) -> float:
-        try:
-            return participation_entropy(profile, 2, n_particles)
-        except ValueError as exc:  # a measured profile in which no shot read a particle
-            raise ConfigError(f"outputs: S2: {exc}") from exc
+    density = {src: (1.0 - z[src]) / 2.0 for src in sources}
+    profiles = {src: [DensityProfile(t, row, src) for t, row in zip(times, density[src])]
+                for src in sources}
+    correlations: dict[str, list[CorrelationMatrix]] = {src: [] for src in sources}
+    for src in sources if want_corr else ():
+        zz = z[src][:, :, None] * z[src][:, None, :]  # <Z_i><Z_j> at every time
+        correlations[src] = [CorrelationMatrix(t, m, src) for t, m in zip(times, zz)]
 
-    scalars = {"P0": edge_probability_P0, "R2n": radial_distribution, "nE": edge_density_nE,
+    def entropy(src: str) -> list[float]:
+        weights = np.sum((density[src] / n_particles) ** 2, axis=1)
+        if np.any(weights <= 0):  # a measured profile in which no shot read a particle
+            try:  # the first such profile raises its one-line error
+                participation_entropy(profiles[src][np.argmax(weights <= 0)], 2, n_particles)
+            except ValueError as exc:
+                raise ConfigError(f"outputs: S2: {exc}") from exc
+        return [-math.log(w / n_particles) for w in weights.tolist()]  # k = 2: 1/(1-k) = -1
+
+    sites = np.arange(L)
+    scalars = {"P0": lambda src: density[src][:, 0].tolist(),
+               "R2n": lambda src: [float(np.dot(sites, row)) for row in density[src]],
+               "nE": lambda src: ((density[src][:, 0] + density[src][:, -1]) / 2.0).tolist(),
                "S2": entropy}
-    series = {src: {name: [scalars[name](p) for p in profiles[src]] for name in SCALAR_NAMES
-                    if name in config.outputs} for src in sources}
+    series = {src: {name: scalars[name](src) for name in SCALAR_NAMES if name in config.outputs}
+              for src in sources}
 
     metadata = {"seed": config.seed, "scheme": config.scheme, "flavor": params.flavor,
                 "version": __version__, "rng": RNG_ALGORITHM, "entropy_log_base": "e",
@@ -301,8 +299,7 @@ def _scalars_csv(record: RunRecord) -> str:
     lines = ["step,time,name,value,source"]
     for src in sorted(record.series):
         for name, values in record.series[src].items():  # in SCALAR_NAMES order
-            for step, val in enumerate(values):
-                t = record.times[step]
+            for step, (t, val) in enumerate(zip(record.times, values)):
                 lines.append(f"{step},{t!r},{name},{val!r},{src}")
     return "\n".join(lines) + "\n"
 
@@ -311,10 +308,8 @@ def _correlation_csv(record: RunRecord) -> str:
     lines = ["time,i,j,value,source"]
     for src in sorted(record.correlations):
         for mat in record.correlations[src]:
-            L = mat.values.shape[0]
-            for i in range(L):
-                for j in range(L):
-                    lines.append(f"{mat.time!r},{i},{j},{float(mat.values[i, j])!r},{src}")
+            for (i, j), val in np.ndenumerate(mat.values):
+                lines.append(f"{mat.time!r},{i},{j},{float(val)!r},{src}")
     return "\n".join(lines) + "\n"
 
 

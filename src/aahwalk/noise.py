@@ -57,11 +57,16 @@ def mitigate_z_vector(counts: CountsTable, model: ReadoutModel) -> np.ndarray:
     """Invert each qubit's readout channel on the measured <Z_i>, all sites at once."""
     if not isinstance(counts, CountsTable):  # z_vector would take a state's exact <Z_i>
         raise TypeError("mitigated estimates require a CountsTable")
-    p01, p10 = model.rates(counts.L)
+    return mitigate_z(z_vector(counts), model)
+
+
+def mitigate_z(z: np.ndarray, model: ReadoutModel) -> np.ndarray:
+    """Invert each qubit's readout channel on measured <Z_i> (last axis: the site)."""
+    p01, p10 = model.rates(z.shape[-1])
     scale = 1.0 - p01 - p10
     if np.any(scale <= 0):
         raise NonInvertibleChannelError(f"p01 + p10 >= 1 at qubit {np.argmax(scale <= 0)}")
-    return (z_vector(counts) - (p10 - p01)) / scale
+    return (z - (p10 - p01)) / scale
 
 
 def mitigate_expectation_z(counts: CountsTable, model: ReadoutModel, site: int) -> float:

@@ -137,12 +137,13 @@ def test_bad_readout_exits_2(tmp_path, capsys, readout):
 
 
 # Values of the wrong type or out of range; no positive integer beyond 5, so
-# that no size field (L, steps, shots) asks for a run that does not finish.
+# that L, whose sector size sets the run's cost, never asks for a run that does not finish.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
                   st.just(-_HUGE), st.integers(-2, 0), st.lists(st.integers(-1, 5), max_size=3),
                   st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
-_ANY = st.one_of(_JUNK, st.just(_HUGE))  # for fields whose size does not set the run's cost
-_SIZE_FIELDS = ("L", "steps", "shots")
+# for the other fields; a huge steps or shots meets the run's size guard (exit 3)
+_ANY = st.one_of(_JUNK, st.just(_HUGE))
+_SIZE_FIELDS = ("L",)
 
 
 @st.composite
@@ -185,14 +186,16 @@ def _fuzz_config(draw):
                  "initial_occupations": [0]})
 @example(config={"model": _MODEL, "initial_occupations": [0], "shots": 1,  # no shot reads a 1
                  "readout": {"p01": 0.1, "p10": 0.45}, "outputs": ["S2"]})
+@example(config={"model": _MODEL, "initial_occupations": [0], "steps": _HUGE})  # size guard
+@example(config={"model": _MODEL, "initial_occupations": [0], "shots": _HUGE})
 def test_run_fuzzed_config_exit_codes(config):
     """`aahwalk run` on any JSON config exits 0, 2, 3 or 4 and never raises; on
     a non-zero exit it writes exactly one stderr line, on exit 0 no NaN or inf.
 
     Configs mix valid values with wrong types, NaN/inf, integers beyond the
-    float range, missing and extra keys and bad readout shapes.  Size fields
-    stay where a run finishes: L <= 8, steps <= 5, shots <= 256 (and at most
-    4 particles), so no generated config asks for a large run.
+    float range, missing and extra keys and bad readout shapes.  L stays where
+    a run finishes (L <= 8, at most 4 particles); a valid steps is at most 5 and
+    a valid shots at most 256, and a fault may set either to 10**400.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -227,6 +230,15 @@ def test_run_forty_sites_two_particles(tmp_path):
     for src in ("exact", "trotter-exact"):
         for prof in data["profiles"][src]:
             assert sum(prof) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [_HUGE, 10**12], ids=["huge", "1e12"])
+@pytest.mark.parametrize("field", ["steps", "shots"])
+def test_run_huge_steps_or_shots_exits_3(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, **{field: value})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource limit: {field}: at most ") and err.count("\n") == 1
 
 
 def test_run_size_guards(tmp_path, capsys):

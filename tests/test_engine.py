@@ -14,6 +14,7 @@ from aahwalk.circuit import (
     trotter_circuit,
 )
 from aahwalk.engine import (
+    _local_unitary,
     apply_circuit,
     apply_gate,
     apply_sector_step,
@@ -172,6 +173,20 @@ def test_sector_step_matches_apply_circuit(flavor, scheme):
         psi = apply_circuit(psi, lowered)
         amps = apply_sector_step(step, amps)
         assert np.abs(amps - psi.amplitudes[basis]).max() < 1e-12  # global phase too
+
+
+def test_sector_step_shares_read_only_gate_unitaries():
+    p = ModelParams(lambda_J=0.9, V=2.0, L=8, flavor="exact-jw")
+    circuit = trotter_circuit(p, 0.3, 1, "sequential")  # 7 TBLOCKs, each with 2 RZs
+    _local_unitary.cache_clear()
+    compile_sector_step(circuit, sector_basis(p.L, 2))
+    info = _local_unitary.cache_info()
+    # period 2: the bonds alternate between two TBLOCKs, and every RZ has one angle
+    assert (info.misses, info.hits) == (3, len(circuit.gates) - 3)
+    g = circuit.gates[0]
+    u = _local_unitary(g.kind, 2, g.angles)
+    assert not u.flags.writeable
+    assert np.array_equal(u, circuit_unitary(Circuit(2, [Gate(g.kind, (0, 1), g.angles)])))
 
 
 def test_sector_step_rejects_number_changing_gate():

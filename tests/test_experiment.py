@@ -1,16 +1,23 @@
 import csv
+import importlib.util
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import aahwalk.cli
 from aahwalk import experiment
-from aahwalk.errors import ConfigError
-from aahwalk.exact import prepare_fock_state, spectrum
+from aahwalk.circuit import trotter_circuit
+from aahwalk.engine import apply_sector_step, compile_sector_step, sample_counts
+from aahwalk.errors import ConfigError, ResourceLimitError
+from aahwalk.exact import (StateVector, prepare_fock_state, sector_basis, sector_hamiltonian,
+                           spectrum)
 from aahwalk.experiment import (
     ExperimentConfig,
+    OUTPUT_NAMES,
     PRESET_NAMES,
     config_from_dict,
     emit,
@@ -20,8 +27,10 @@ from aahwalk.experiment import (
     sweep,
 )
 from aahwalk.model import FLAVORS, ModelParams
-from aahwalk.noise import ReadoutModel
-from aahwalk.observables import density_profile
+from aahwalk.noise import ReadoutModel, corrupt
+from aahwalk.observables import (correlation, density_profile, edge_density_nE,
+                                 edge_probability_P0, participation_entropy,
+                                 radial_distribution)
 
 
 def _minimal_dict(**over):
@@ -115,6 +124,92 @@ def test_run_exact_is_sector_evolution(monkeypatch, flavor, occ):
     for t, prof in zip(rec.times, rec.profiles["exact"]):
         want = density_profile(full.evolve(psi0, t), t, "exact").values
         assert np.abs(prof.values - want).max() < 1e-12
+
+
+# (L, occupied sites, steps); C(5, 3) = 10 < 12 steps: more table rows than sector states
+@pytest.mark.parametrize("L, occ, steps", [(6, [0, 3], 4), (5, [0, 2, 3], 12)])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_run_matches_per_step_oracle(flavor, L, occ, steps):
+    """run() measures into time tables; the same record follows bit for bit from the
+    per-state functions applied one state and one step at a time."""
+    p = ModelParams(lambda_J=0.8, phi_J=0.3, V=1.5, L=L, flavor=flavor)
+    readout = ReadoutModel(tuple(0.01 * (i + 1) for i in range(L)), 0.04)
+    cfg = ExperimentConfig(model=p, initial_occupations=occ, t_max=2.0, steps=steps,
+                           scheme="strang-2", shots=300, readout=readout, mitigation=True,
+                           seed=12, outputs=list(OUTPUT_NAMES))
+    rec = run(cfg)
+    basis, N = sector_basis(L, len(occ)), len(occ)
+    decomp = spectrum(sector_hamiltonian(p, basis))
+    start = np.searchsorted(basis, sum(1 << s for s in occ))
+    step = compile_sector_step(trotter_circuit(p, cfg.t_max / steps, 1, cfg.scheme), basis)
+    trot = np.zeros(len(basis), dtype=complex)
+    trot[start] = 1.0
+    assert rec.times == [s * (cfg.t_max / steps) for s in range(steps + 1)]
+    for s, t in enumerate(rec.times):
+        if s > 0:
+            trot = apply_sector_step(step, trot)
+        v = np.exp(-1j * decomp.eigenvalues * t) * decomp.eigenvectors[start]
+        amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
+        counts = sample_counts(StateVector(trot, L, basis), cfg.shots,
+                               (experiment._SAMPLE, s, cfg.seed))
+        counts = corrupt(counts, readout, (experiment._CORRUPT, s, cfg.seed))
+        states = {"exact": (StateVector(amps, L, basis), None),
+                  "trotter-exact": (StateVector(trot, L, basis), None),
+                  "trotter-sampled": (counts, None),
+                  "trotter-sampled-mitigated": (counts, readout)}
+        assert set(rec.profiles) == set(rec.correlations) == set(rec.series) == set(states)
+        for src, (state, model) in states.items():
+            prof = density_profile(state, t, src, model=model)
+            assert rec.profiles[src][s].time == t
+            assert np.array_equal(rec.profiles[src][s].values, prof.values)
+            assert rec.correlations[src][s].time == t
+            assert np.array_equal(rec.correlations[src][s].values,
+                                  correlation(state, t, src, model=model).values)
+            series = rec.series[src]
+            assert series["P0"][s] == edge_probability_P0(prof)
+            assert series["R2n"][s] == radial_distribution(prof)
+            assert series["nE"][s] == edge_density_nE(prof)
+            assert series["S2"][s] == participation_entropy(prof, 2, N)
+
+
+def test_run_size_guard_bounds(monkeypatch):
+    """Steps and shots are bounded so that no array of a run exceeds
+    MAX_SECTOR_STATES**2 entries: the largest admitted values pass the guard
+    (and reach sector_basis), one more is refused."""
+    class Admitted(Exception):
+        pass
+
+    def admitted(L, n):
+        raise Admitted
+
+    monkeypatch.setattr(experiment, "sector_basis", admitted)
+    # (L, outputs, largest steps, largest shots); correlations add a factor L to the tables
+    for L, outputs, steps, shots in ((8, ["density"], 2097151, 2097152),
+                                     (63, ["density"], 266304, 266305),
+                                     (8, ["correlation"], 262143, 2097152),
+                                     (63, ["correlation"], 4226, 266305)):
+        def cfg(**over):
+            return ExperimentConfig(model=ModelParams(L=L), initial_occupations=[0],
+                                    outputs=outputs, **over)
+        with pytest.raises(Admitted):
+            run(cfg(steps=steps, shots=shots))
+        with pytest.raises(ResourceLimitError, match=f"^steps: at most {steps} at L={L} "):
+            run(cfg(steps=steps + 1))
+        with pytest.raises(ResourceLimitError, match=f"^shots: at most {shots} at L={L} "):
+            run(cfg(shots=shots + 1))
+
+
+def test_benchmark_tracer_names_are_bound():
+    """The benchmark's tracer (perfbench/spans.py) wraps each of these names with
+    getattr; one that src no longer binds would break a traced benchmark run."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wraps = spans._wraps(aahwalk)
+    assert wraps
+    for owner, attr, _, _ in wraps:
+        assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
 
 
 def test_run_sources_present():
