@@ -126,8 +126,6 @@ def trotter_circuit(params: ModelParams, t: float, n: int,
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if n < 1:
         raise ValueError("need at least one Trotter step")
-    if t < 0:
-        raise ValueError("negative evolution time")
     L = params.L
     dt = t / n
     even = list(range(0, L - 1, 2))

@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 
-from .circuit import Gate, KIND_X, lower, trotter_circuit, export_qasm
+from .circuit import Circuit, Gate, KIND_X, lower, trotter_circuit, export_qasm
 from .errors import ConfigError, ResourceLimitError
-from .exact import (sector_basis, sector_hamiltonian, single_particle_hamiltonian,
-                    spectrum, spectrum_csv)
+from .exact import (MAX_SECTOR_STATES, sector_basis, sector_hamiltonian,
+                    single_particle_hamiltonian, spectrum, spectrum_csv)
 from .experiment import (
     PRESET_NAMES,
     SWEEP_AXES,
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
+MAX_QASM_GATES = MAX_SECTOR_STATES**2 // 64  # most gates (one QASM line each) of an export
 
 
 def _load_config(path: str, args) -> "ExperimentConfig":
@@ -116,11 +117,13 @@ def main(argv: list[str] | None = None) -> int:
             emit(records, args.format, args.out, stem=args.name)
         elif args.command == "export-qasm":
             cfg = _load_config(args.config, args)
-            circ = trotter_circuit(cfg.model, cfg.t_max, cfg.steps, cfg.scheme)
-            # state preparation: NOT gates on the initially occupied sites
+            # NOT gates on the initially occupied sites, then steps copies of one lowered step
             prep = [Gate(KIND_X, (s,)) for s in cfg.initial_occupations]
-            circ.gates = prep + circ.gates
-            _write_text(args.out, export_qasm(lower(circ)))
+            step = lower(trotter_circuit(cfg.model, cfg.t_max / cfg.steps, 1, cfg.scheme)).gates
+            if cfg.steps > (most := (MAX_QASM_GATES - len(prep)) // len(step)):
+                raise ResourceLimitError(f"steps: at most {most} at L={cfg.model.L}"
+                                         f" (a circuit over {MAX_QASM_GATES} gates)")
+            _write_text(args.out, export_qasm(Circuit(cfg.model.L, prep + step * cfg.steps)))
         elif args.command == "spectrum":
             cfg = _load_config(args.config, args)
             p = cfg.model  # H conserves N: its spectrum is the union over the sectors,

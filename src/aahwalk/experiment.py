@@ -9,6 +9,7 @@ import os
 import tempfile
 import time as _time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import ConfigError, ResourceLimitError
 from .exact import (MAX_SECTOR_STATES, StateVector, sector_basis, sector_hamiltonian, site_bits,
                     spectrum)
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
-from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite
+from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite, is_number
 from .noise import ReadoutModel, corrupt, mitigate_z
 from .observables import (SOURCE_EXACT, SOURCE_TROTTER_EXACT, SOURCE_TROTTER_MITIGATED,
                           SOURCE_TROTTER_SAMPLED, CorrelationMatrix, DensityProfile,
@@ -35,10 +36,6 @@ OUTPUT_NAMES = ("density", "P0", "R2n", "nE", "S2", "correlation")
 SCALAR_NAMES = ("P0", "R2n", "nE", "S2")
 _SAMPLE, _CORRUPT = 0, 1  # RNG stream purposes
 DEFAULT_OUTPUTS = ["density", "P0", "R2n", "nE", "S2"]
-
-_MODEL_KEYS = {"J", "lambda_J", "T_period", "phi_J", "V", "L", "flavor"}
-_CONFIG_KEYS = {"model", "initial_occupations", "t_max", "steps", "scheme",
-                "shots", "readout", "mitigation", "seed", "outputs"}
 
 
 @dataclass
@@ -55,12 +52,36 @@ class ExperimentConfig:
     outputs: list[str] = field(default_factory=lambda: list(DEFAULT_OUTPUTS))
 
     def validate(self) -> None:
-        occ = self.initial_occupations
+        """The whole contract of a config: the type of each field, then its value (ConfigError),
+        then the size of the arrays a run of it allocates (ResourceLimitError)."""
+        occ, seq = self.initial_occupations, (list, tuple)
+        if isinstance(self.readout, ReadoutModel):
+            for key, v in (("p01", self.readout.p01), ("p10", self.readout.p10)):
+                rates = v.tolist() if isinstance(v, np.ndarray) else v
+                if not all(map(is_number, rates if isinstance(rates, seq) else [rates])):
+                    raise ConfigError(f"readout: {key}: expected a number or a list of numbers,"
+                                      f" got {v!r}")
+        for name, ok, what in (
+                ("model", isinstance(self.model, ModelParams), "a ModelParams"),
+                ("readout", self.readout is None or isinstance(self.readout, ReadoutModel),
+                 "a ReadoutModel"),
+                ("initial_occupations", isinstance(occ, seq)
+                 and all(is_number(s, Integral) for s in occ), "a list of integers"),
+                ("steps", is_number(self.steps, Integral), "an integer"),
+                ("shots", is_number(self.shots, Integral), "an integer"),
+                ("seed", is_number(self.seed, Integral), "an integer"),
+                ("t_max", is_number(self.t_max), "a number"),
+                ("mitigation", isinstance(self.mitigation, (bool, np.bool_)), "true or false"),
+                ("outputs", isinstance(self.outputs, seq), "a list")):
+            if not ok:
+                raise ConfigError(f"{name}: expected {what}, got {getattr(self, name)!r}")
+
+        L = self.model.L
         if len(set(occ)) != len(occ):
             raise ConfigError(f"initial_occupations: duplicate sites in {occ}")
         for s in occ:
-            if not 0 <= s < self.model.L:
-                raise ConfigError(f"initial_occupations: site {s} out of range for L={self.model.L}")
+            if not 0 <= s < L:
+                raise ConfigError(f"initial_occupations: site {s} out of range for L={L}")
         if not occ:
             raise ConfigError("initial_occupations: need at least one particle")
         if self.steps < 1:
@@ -75,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.readout is not None:
             try:
-                self.readout.rates(self.model.L)
+                self.readout.rates(L)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"readout: {exc}") from exc
         if self.mitigation and (self.readout is None or self.shots == 0):
@@ -84,58 +105,41 @@ class ExperimentConfig:
             if name not in OUTPUT_NAMES:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)  # model and readout become nested dicts
+        # A run's largest arrays, the (steps+1) x L <Z> tables (x L for correlations) and
+        # corrupt's shots x L bits, stay within the size of the largest U the sector guard admits.
+        limit, width = MAX_SECTOR_STATES**2, L * L if "correlation" in self.outputs else L
+        if (int(self.steps) + 1) * width > limit:  # int: a numpy integer would wrap
+            raise ResourceLimitError(f"steps: at most {limit // width - 1} at L={L} with these"
+                                     f" outputs (a time table over {limit} entries)")
+        if int(self.shots) * L > limit:
+            raise ResourceLimitError(f"shots: at most {limit // L} at L={L}"
+                                     f" (a shots x L array over {limit} entries)")
+
+
+def _from_object(name: str, cls, obj):
+    """A dataclass from a JSON object, with lists as tuples; its constructor refuses
+    unknown and missing keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: expected an object, got {obj!r}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Strict parse: unknown keys are errors."""
+    """Strict parse of a JSON object: unknown keys are errors, absent ones take the
+    dataclass defaults, and validate() checks the rest."""
     if not isinstance(d, dict):
         raise ConfigError(f"expected a JSON object, got {d!r}")
-    unknown = set(d) - _CONFIG_KEYS
+    unknown = set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    mdict = d.get("model")
-    if not isinstance(mdict, dict):
-        raise ConfigError(f"model: expected an object, got {mdict!r}")
-    bad = set(mdict) - _MODEL_KEYS
-    if bad:
-        raise ConfigError(f"model: unknown keys {sorted(bad)}")
-    try:
-        model = ModelParams(**mdict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    readout = None
-    if d.get("readout") is not None:
-        r = d["readout"]
-        if not isinstance(r, dict) or set(r) != {"p01", "p10"}:
-            raise ConfigError(f"readout: expected exactly the keys p01 and p10, got {r!r}")
-        for key, v in r.items():  # no bools, no strings
-            if not all(type(p) in (int, float) for p in (v if isinstance(v, list) else [v])):
-                raise ConfigError(f"readout: {key}: expected a number or a list of numbers,"
-                                  f" got {v!r}")
-        readout = ReadoutModel(**{k: tuple(v) if isinstance(v, list) else v for k, v in r.items()})
-    occ = d.get("initial_occupations")
-    if not isinstance(occ, list) or not all(type(s) is int for s in occ):  # no bools
-        raise ConfigError(f"initial_occupations: expected a list of integers, got {occ!r}")
-    for key, kinds, what in (("steps", (int,), "an integer"), ("shots", (int,), "an integer"),
-                             ("seed", (int,), "an integer"), ("t_max", (int, float), "a number"),
-                             ("mitigation", (bool,), "true or false"),
-                             ("outputs", (list,), "a list")):
-        if key in d and type(d[key]) not in kinds:  # exact types: a bool is not an int here
-            raise ConfigError(f"{key}: expected {what}, got {d[key]!r}")
-    cfg = ExperimentConfig(
-        model=model,
-        initial_occupations=list(occ),
-        t_max=d.get("t_max", 5.0),
-        steps=d.get("steps", 10),
-        scheme=d.get("scheme", "sequential"),
-        shots=d.get("shots", 0),
-        readout=readout,
-        mitigation=d.get("mitigation", False),
-        seed=d.get("seed", 0),
-        outputs=list(d.get("outputs", DEFAULT_OUTPUTS)),
-    )
+    readout = d.get("readout")
+    cfg = ExperimentConfig(**{
+        **d, "model": _from_object("model", ModelParams, d.get("model")),
+        "readout": None if readout is None else _from_object("readout", ReadoutModel, readout),
+        "initial_occupations": d.get("initial_occupations")})
     cfg.validate()
     return cfg
 
@@ -177,15 +181,6 @@ def run(config: ExperimentConfig) -> RunRecord:
     config.validate()
     params, L = config.model, config.model.L
     want_corr = "correlation" in config.outputs
-    # A run's largest arrays, the (steps+1) x L <Z> tables (x L for correlations) and
-    # corrupt's shots x L bits, stay within the size of the largest U the sector guard admits.
-    limit, width = MAX_SECTOR_STATES**2, L * L if want_corr else L
-    if (config.steps + 1) * width > limit:
-        raise ResourceLimitError(f"steps: at most {limit // width - 1} at L={L} with these"
-                                 f" outputs (a time table over {limit} entries)")
-    if config.shots * L > limit:
-        raise ResourceLimitError(f"shots: at most {limit // L} at L={L}"
-                                 f" (a shots x L array over {limit} entries)")
     n_particles = len(config.initial_occupations)
     basis = sector_basis(L, n_particles)
     with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
@@ -195,10 +190,10 @@ def run(config: ExperimentConfig) -> RunRecord:
     decomp = spectrum(H)
     start = np.searchsorted(basis, sum(1 << s for s in config.initial_occupations))
     c0 = decomp.eigenvectors[start]  # U^dag e_start; the sector block is real
-    dt = config.t_max / config.steps
+    dt = float(config.t_max / config.steps)  # a float also for numpy scalars, as CSV prints it
     step = compile_sector_step(trotter_circuit(params, dt, 1, config.scheme), basis)
 
-    sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT] + [SOURCE_TROTTER_SAMPLED] * (config.shots > 0)
+    sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT] + [SOURCE_TROTTER_SAMPLED] * bool(config.shots)
     times = [s * dt for s in range(config.steps + 1)]
     z = {src: np.empty((len(times), L)) for src in sources}  # row s: <Z_i> at times[s]
     signs = 1 - 2 * site_bits(basis, L)
@@ -251,7 +246,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     metadata = {"seed": config.seed, "scheme": config.scheme, "flavor": params.flavor,
                 "version": __version__, "rng": RNG_ALGORITHM, "entropy_log_base": "e",
                 "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    return RunRecord(config.to_dict(), times, profiles, series, correlations, metadata)
+    return RunRecord(dataclasses.asdict(config), times, profiles, series, correlations, metadata)
 
 
 SWEEP_AXES = ("lambda_J", "phi_J", "V")
@@ -324,7 +319,8 @@ def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
         prefix = os.path.join(out_dir, f"{stem}_{i:03d}")
         if fmt == "json":
             path = prefix + ".json"
-            _atomic_write(path, json.dumps(rec.to_dict(), sort_keys=True, indent=1) + "\n")
+            _atomic_write(path, json.dumps(rec.to_dict(), sort_keys=True, indent=1,
+                                           default=lambda x: x.tolist()) + "\n")  # numpy values
             written.append(path)
         else:
             path = prefix + ".density.csv"

@@ -43,9 +43,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("L", "T_period"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (2 <= self.L <= MAX_INDEX_SITES):
             raise ValueError(f"L must be in [2, {MAX_INDEX_SITES}], got {self.L}")
         if self.T_period < 1:
@@ -55,6 +54,11 @@ class ModelParams:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
+
+
+def is_number(x, kind=numbers.Real) -> bool:
+    """An instance of kind that is not a bool; numpy numbers count, numpy bools do not."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def is_finite(x) -> bool:

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aahwalk.circuit import SCHEMES
+import aahwalk.cli
+from aahwalk.circuit import KIND_X, SCHEMES, Gate, export_qasm, lower, trotter_circuit
 from aahwalk.cli import main
+from aahwalk.errors import ConfigError
 from aahwalk.exact import MAX_SECTOR_STATES
-from aahwalk.experiment import OUTPUT_NAMES, hamiltonian_matrix
+from aahwalk.experiment import OUTPUT_NAMES, ExperimentConfig, hamiltonian_matrix, run
 from aahwalk.model import FLAVORS, MAX_INDEX_SITES, ModelParams
+from aahwalk.noise import ReadoutModel
 
 
 _HUGE = 10**400  # an integer beyond the float range
@@ -93,7 +96,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", cfg]) == 2
 
 
-@pytest.mark.parametrize("field, value", [
+# One fault each, on a config with shots and a readout (so that a truthy non-bool
+# mitigation is the only fault); both the JSON and the Python path must refuse them.
+MISTYPED_CASES = [
     ("steps", "2"), ("steps", 2.0), ("steps", True),
     ("shots", "10"), ("shots", 1.5),
     ("seed", "1"), ("seed", False), ("seed", -1),
@@ -102,13 +107,28 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ("initial_occupations", [True]),
     pytest.param("t_max", _HUGE, id="t_max-huge"), ("model", 5), ("outputs", 5), ("mitigation", "no"),
     pytest.param("readout", {"p01": "0.1", "p10": 0.02}, id="readout-string"), pytest.param("readout", {"p01": _HUGE, "p10": 0.02}, id="readout-huge"),
-])
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_CASES)
 def test_mistyped_config_exits_2(tmp_path, capsys, field, value):
     readout = {"p01": 0.02, "p10": 0.02}  # so that a truthy non-bool mitigation is the only fault
     cfg = _write_config(tmp_path, **{"shots": 10, "readout": readout, field: value})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_CASES)
+def test_mistyped_config_raises_in_python(field, value):
+    """An ExperimentConfig built in Python meets the same contract as a JSON one:
+    run() raises ConfigError with the same field prefix, before any work."""
+    if field == "readout":
+        value = ReadoutModel(**value)
+    fields = {"model": ModelParams(**_MODEL), "initial_occupations": [0], "t_max": 1.0,
+              "steps": 2, "shots": 10, "readout": ReadoutModel(0.02, 0.02), field: value}
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        run(ExperimentConfig(**fields))
 
 
 @pytest.mark.parametrize("value, field", [
@@ -232,6 +252,15 @@ def test_run_forty_sites_two_particles(tmp_path):
             assert sum(prof) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_run_forty_sites_trotter_norm_over_200_steps():
+    """The sector Trotter step keeps the norm within the benchmark's EXACT_TOL (1e-9)
+    over a long run; test_run_forty_sites_two_particles makes only 2 steps."""
+    cfg = ExperimentConfig(model=ModelParams(**{**_MODEL, "L": 40, "V": 2.0, "flavor": "exact-jw"}),
+                           initial_occupations=[19, 20], t_max=10.0, steps=200, scheme="strang-2")
+    sums = [prof.values.sum() for prof in run(cfg).profiles["trotter-exact"]]
+    assert len(sums) == 201 and max(abs(s - 2.0) for s in sums) < 1e-9
+
+
 @pytest.mark.parametrize("value", [_HUGE, 10**12], ids=["huge", "1e12"])
 @pytest.mark.parametrize("field", ["steps", "shots"])
 def test_run_huge_steps_or_shots_exits_3(tmp_path, capsys, field, value):
@@ -239,6 +268,51 @@ def test_run_huge_steps_or_shots_exits_3(tmp_path, capsys, field, value):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"resource limit: {field}: at most ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [_HUGE, 10**12], ids=["huge", "1e12"])
+def test_export_qasm_huge_steps_exits_3(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, steps=value)
+    assert main(["export-qasm", cfg, "--out", str(tmp_path / "c.qasm")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: steps: at most ") and err.count("\n") == 1
+    assert not (tmp_path / "c.qasm").exists()
+
+
+@pytest.mark.parametrize("model, occ, scheme, most, per_step", [
+    ({"flavor": "paper-literal", "V": 0.0}, [0], "sequential", 4681, 56),  # 7 blocks of 8 gates
+    ({"flavor": "exact-jw", "V": 2.0}, [3, 4], "strang-2", 2621, 100),  # 10 blocks of 8 + 2 Rz
+])
+def test_export_qasm_gate_bound(tmp_path, capsys, monkeypatch, model, occ, scheme, most, per_step):
+    """At L=8 the largest admitted steps passes the gate bound and one more is refused
+    (exit 3) before any circuit is expanded; export_qasm is patched so nothing is written."""
+    class Admitted(Exception):
+        pass
+
+    def admitted(circuit):
+        assert len(circuit.gates) == len(occ) + most * per_step <= aahwalk.cli.MAX_QASM_GATES
+        raise Admitted
+
+    monkeypatch.setattr(aahwalk.cli, "export_qasm", admitted)
+    over = {"model": {**_MODEL, "L": 8, **model}, "initial_occupations": occ, "scheme": scheme}
+    with pytest.raises(Admitted):
+        main(["export-qasm", _write_config(tmp_path, **over, steps=most)])
+    assert main(["export-qasm", _write_config(tmp_path, **over, steps=most + 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource limit: steps: at most {most} at L=8 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_export_qasm_is_the_full_trotter_circuit(tmp_path, capsys, flavor, scheme):
+    """export-qasm repeats one lowered step; its text equals that of the whole
+    n-step circuit as trotter_circuit builds it."""
+    model = {**_MODEL, "L": 5, "V": 1.5, "phi_J": 0.3, "flavor": flavor}
+    assert main(["export-qasm", _write_config(tmp_path, model=model, initial_occupations=[1, 3],
+                                              t_max=2.3, steps=7, scheme=scheme)]) == 0
+    circ = trotter_circuit(ModelParams(**model), 2.3, 7, scheme)
+    circ.gates = [Gate(KIND_X, (1,)), Gate(KIND_X, (3,))] + circ.gates
+    assert capsys.readouterr().out == export_qasm(lower(circ))
 
 
 def test_run_size_guards(tmp_path, capsys):

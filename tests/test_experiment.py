@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -380,6 +381,29 @@ def test_emit_csv_parses_back_to_record(tmp_path):
         mats[src][d["times"].index(float(time)), int(i), int(j)] = float(value)
     for src, values in mats.items():
         assert np.array_equal(values, [m["values"] for m in d["correlations"][src]])
+
+
+def test_numpy_scalars_and_tuples_run_as_ints_and_lists(tmp_path):
+    """numpy scalars, a numpy array of readout rates and tuples pass the config
+    contract, and emit writes the same bytes as for the plain int, float, bool and
+    list config."""
+    plain = ExperimentConfig(
+        model=ModelParams(lambda_J=0.9, V=1.0, L=5), initial_occupations=[1, 3],
+        t_max=1.3, steps=4, shots=200, seed=3, mitigation=True,
+        readout=ReadoutModel((0.01, 0.02, 0.0, 0.03, 0.01), 0.02),
+        outputs=["density", "P0", "S2", "correlation"])
+    numpy = dataclasses.replace(
+        plain, initial_occupations=(np.int64(1), 3), t_max=np.float64(1.3), steps=np.int64(4),
+        shots=np.int64(200), seed=np.int64(3), mitigation=np.bool_(True),
+        readout=ReadoutModel(np.array(plain.readout.p01), np.float64(0.02)),
+        outputs=tuple(plain.outputs))
+    for fmt in ("json", "csv"):
+        a_paths = emit(run(plain), fmt, str(tmp_path / fmt / "plain"))
+        b_paths = emit(run(numpy), fmt, str(tmp_path / fmt / "numpy"))
+        assert len(a_paths) == len(b_paths) == (1 if fmt == "json" else 3)
+        for a, b in zip(a_paths, b_paths):
+            assert ([line for line in open(a) if '"timestamp"' not in line]
+                    == [line for line in open(b) if '"timestamp"' not in line])
 
 
 def test_emit_unknown_format(tmp_path):
