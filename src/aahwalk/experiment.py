@@ -26,8 +26,7 @@ from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's t
 from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite, is_number
 from .noise import ReadoutModel, corrupt, mitigate_z
 from .observables import (SOURCE_EXACT, SOURCE_TROTTER_EXACT, SOURCE_TROTTER_MITIGATED,
-                          SOURCE_TROTTER_SAMPLED, CorrelationMatrix, DensityProfile,
-                          participation_entropy)
+                          SOURCE_TROTTER_SAMPLED, DensityProfile, participation_entropy)
 from .observables import (  # noqa: F401  bound for the benchmark's tracer
     correlation, density_profile, edge_density_nE, edge_probability_P0, radial_distribution)
 from .pauli import build_fermionic_hamiltonian_matrix, build_spin_hamiltonian, to_matrix
@@ -148,21 +147,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 class RunRecord:
     config: dict
     times: list[float]
-    profiles: dict[str, list[DensityProfile]]
+    profiles: dict[str, np.ndarray]  # (steps+1) x L densities; row s at times[s]
     series: dict[str, dict[str, list[float]]]
-    correlations: dict[str, list[CorrelationMatrix]]
+    correlations: dict[str, np.ndarray]  # (steps+1) x L x L <Z_i><Z_j>; 0 rows if not asked
     metadata: dict
 
     def to_dict(self) -> dict:
         return {
             "config": self.config,
             "times": self.times,
-            "profiles": {src: [p.values.tolist() for p in profs]
-                         for src, profs in self.profiles.items()},
+            "profiles": {src: tab.tolist() for src, tab in self.profiles.items()},
             "series": self.series,
-            "correlations": {src: [{"time": c.time, "values": c.values.tolist()}
-                                   for c in mats]
-                             for src, mats in self.correlations.items()},
+            "correlations": {src: [{"time": t, "values": m}
+                                   for t, m in zip(self.times, tab.tolist())]
+                             for src, tab in self.correlations.items()},
             "metadata": self.metadata,
         }
 
@@ -180,7 +178,6 @@ def run(config: ExperimentConfig) -> RunRecord:
     <Z> table, then derive every observable from the tables."""
     config.validate()
     params, L = config.model, config.model.L
-    want_corr = "correlation" in config.outputs
     n_particles = len(config.initial_occupations)
     basis = sector_basis(L, n_particles)
     with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
@@ -219,18 +216,16 @@ def run(config: ExperimentConfig) -> RunRecord:
         z[SOURCE_TROTTER_MITIGATED] = mitigate_z(z[SOURCE_TROTTER_SAMPLED], config.readout)
 
     density = {src: (1.0 - z[src]) / 2.0 for src in sources}
-    profiles = {src: [DensityProfile(t, row, src) for t, row in zip(times, density[src])]
-                for src in sources}
-    correlations: dict[str, list[CorrelationMatrix]] = {src: [] for src in sources}
-    for src in sources if want_corr else ():
-        zz = z[src][:, :, None] * z[src][:, None, :]  # <Z_i><Z_j> at every time
-        correlations[src] = [CorrelationMatrix(t, m, src) for t, m in zip(times, zz)]
+    correlations = {src: z[src][:, :, None] * z[src][:, None, :]  # <Z_i><Z_j> at every time
+                    if "correlation" in config.outputs else np.empty((0, L, L)) for src in sources}
 
     def entropy(src: str) -> list[float]:
         weights = np.sum((density[src] / n_particles) ** 2, axis=1)
         if np.any(weights <= 0):  # a measured profile in which no shot read a particle
-            try:  # the first such profile raises its one-line error
-                participation_entropy(profiles[src][np.argmax(weights <= 0)], 2, n_particles)
+            first = int(np.argmax(weights <= 0))  # the first such profile words the error
+            try:
+                participation_entropy(DensityProfile(times[first], density[src][first], src),
+                                      2, n_particles)
             except ValueError as exc:
                 raise ConfigError(f"outputs: S2: {exc}") from exc
         return [-math.log(w / n_particles) for w in weights.tolist()]  # k = 2: 1/(1-k) = -1
@@ -246,34 +241,37 @@ def run(config: ExperimentConfig) -> RunRecord:
     metadata = {"seed": config.seed, "scheme": config.scheme, "flavor": params.flavor,
                 "version": __version__, "rng": RNG_ALGORITHM, "entropy_log_base": "e",
                 "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    return RunRecord(dataclasses.asdict(config), times, profiles, series, correlations, metadata)
+    return RunRecord(dataclasses.asdict(config), times, density, series, correlations, metadata)
 
 
 SWEEP_AXES = ("lambda_J", "phi_J", "V")
 
 
 def sweep(base: ExperimentConfig, axis: str, values: list[float]) -> list[RunRecord]:
-    """One independent run per value; per-value seed = base seed + index."""
+    """One independent run per value; per-value seed = base seed + index. Every
+    point's config is built, so its model checked, before the first run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    for v in values:
-        if not math.isfinite(v):
-            raise ConfigError(f"sweep value {v} is not finite")
-    return [run(dataclasses.replace(base, seed=base.seed + i,
-                                    model=dataclasses.replace(base.model, **{axis: v})))
-            for i, v in enumerate(values)]
+    try:
+        configs = [dataclasses.replace(base, seed=base.seed + i,
+                                       model=dataclasses.replace(base.model, **{axis: v}))
+                   for i, v in enumerate(values)]
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
+    return [run(cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------
 # File emission
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, lines: list[str]) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines))
+            fh.write("\n")  # apart: appending it to a large text would copy the text
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -281,31 +279,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _density_csv(record: RunRecord) -> str:
+def _csv_files(rec: RunRecord):
+    """(suffix, lines) of each CSV file of a record that has content; every source's
+    densities are always written. Cells format Python floats from .tolist() rows."""
     lines = ["step,time,site,density,source"]
-    for src in sorted(record.profiles):
-        for step, prof in enumerate(record.profiles[src]):
-            for site, val in enumerate(prof.values):
-                lines.append(f"{step},{prof.time!r},{site},{float(val)!r},{src}")
-    return "\n".join(lines) + "\n"
-
-
-def _scalars_csv(record: RunRecord) -> str:
-    lines = ["step,time,name,value,source"]
-    for src in sorted(record.series):
-        for name, values in record.series[src].items():  # in SCALAR_NAMES order
-            for step, (t, val) in enumerate(zip(record.times, values)):
-                lines.append(f"{step},{t!r},{name},{val!r},{src}")
-    return "\n".join(lines) + "\n"
-
-
-def _correlation_csv(record: RunRecord) -> str:
-    lines = ["time,i,j,value,source"]
-    for src in sorted(record.correlations):
-        for mat in record.correlations[src]:
-            for (i, j), val in np.ndenumerate(mat.values):
-                lines.append(f"{mat.time!r},{i},{j},{float(val)!r},{src}")
-    return "\n".join(lines) + "\n"
+    for src in sorted(rec.profiles):
+        for step, (t, row) in enumerate(zip(rec.times, rec.profiles[src].tolist())):
+            lines += [f"{step},{t!r},{site},{v!r},{src}" for site, v in enumerate(row)]
+    yield ".density.csv", lines
+    if any(rec.series.values()):
+        lines = ["step,time,name,value,source"]
+        for src in sorted(rec.series):
+            for name, values in rec.series[src].items():  # in SCALAR_NAMES order
+                lines += [f"{step},{t!r},{name},{v!r},{src}"
+                          for step, (t, v) in enumerate(zip(rec.times, values))]
+        yield ".scalars.csv", lines
+    if any(len(tab) for tab in rec.correlations.values()):
+        lines = ["time,i,j,value,source"]
+        for src in sorted(rec.correlations):
+            for t, mat in zip(rec.times, rec.correlations[src]):
+                for i, row in enumerate(mat.tolist()):
+                    lines += [f"{t!r},{i},{j},{v!r},{src}" for j, v in enumerate(row)]
+        yield ".correlation.csv", lines
 
 
 def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
@@ -318,22 +313,14 @@ def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
     for i, rec in enumerate(records):
         prefix = os.path.join(out_dir, f"{stem}_{i:03d}")
         if fmt == "json":
-            path = prefix + ".json"
-            _atomic_write(path, json.dumps(rec.to_dict(), sort_keys=True, indent=1,
-                                           default=lambda x: x.tolist()) + "\n")  # numpy values
-            written.append(path)
+            files = [(".json", [json.dumps(rec.to_dict(), sort_keys=True, indent=1,
+                                           default=lambda x: x.tolist())])]  # numpy values
         else:
-            path = prefix + ".density.csv"
-            _atomic_write(path, _density_csv(rec))
-            written.append(path)
-            if any(rec.series[src] for src in rec.series):
-                path = prefix + ".scalars.csv"
-                _atomic_write(path, _scalars_csv(rec))
-                written.append(path)
-            if any(rec.correlations[src] for src in rec.correlations):
-                path = prefix + ".correlation.csv"
-                _atomic_write(path, _correlation_csv(rec))
-                written.append(path)
+            files = _csv_files(rec)
+        for suffix, lines in files:
+            _atomic_write(prefix + suffix, lines)
+            written.append(prefix + suffix)
+            del lines  # free this file's lines before the next file's are built
     return written
 
 

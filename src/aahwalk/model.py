@@ -62,9 +62,9 @@ def is_number(x, kind=numbers.Real) -> bool:
 
 
 def is_finite(x) -> bool:
-    """A real number that is finite as a float: not NaN, not +-inf, and not an
+    """A number (is_number) that is finite as a float: not NaN, not +-inf, and not an
     int beyond the float range (math.isfinite raises OverflowError on those)."""
-    return isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
+    return is_number(x) and abs(x) <= sys.float_info.max
 
 
 def bond_coefficient(params: ModelParams, b: int) -> float:

@@ -7,6 +7,7 @@ pinned; they guard against silent regressions in any layer underneath.
 
 import itertools
 import math
+import pathlib
 
 import numpy as np
 from scipy.linalg import expm
@@ -255,7 +256,7 @@ def test_acceptance_10_circuit_matches_exact():
     rec = run(cfg)
     worst = 0.0
     for pe, pt in zip(rec.profiles["exact"], rec.profiles["trotter-exact"]):
-        worst = max(worst, float(np.abs(pe.values - pt.values).max()))
+        worst = max(worst, float(np.abs(pe - pt).max()))
     _report(10, worst < 0.15)
 
 
@@ -308,8 +309,8 @@ def test_acceptance_12_determinism(tmp_path):
     a, b = emit_all("a"), emit_all("b")
     ok = len(a) == len(b) > 0
     for pa, pb in zip(a, b):
-        ta = open(pa).read()
-        tb = open(pb).read()
+        ta = pathlib.Path(pa).read_text()
+        tb = pathlib.Path(pb).read_text()
         if pa.endswith(".json"):
             ta = "\n".join(l for l in ta.splitlines() if '"timestamp"' not in l)
             tb = "\n".join(l for l in tb.splitlines() if '"timestamp"' not in l)

@@ -134,6 +134,7 @@ def test_mistyped_config_raises_in_python(field, value):
 @pytest.mark.parametrize("value, field", [
     *[(v, f) for f in ("J", "phi_J", "V") for v in (float("nan"), float("inf"))],
     (4.0, "L"), (True, "L"), (2.0, "T_period"),
+    (True, "J"), (True, "lambda_J"), (True, "phi_J"), (False, "V"),
     pytest.param(_HUGE, "J", id="huge-J"), pytest.param(_HUGE, "T_period", id="huge-T_period"),
 ])
 def test_nonfinite_model_exits_2(tmp_path, capsys, field, value):
@@ -257,7 +258,7 @@ def test_run_forty_sites_trotter_norm_over_200_steps():
     over a long run; test_run_forty_sites_two_particles makes only 2 steps."""
     cfg = ExperimentConfig(model=ModelParams(**{**_MODEL, "L": 40, "V": 2.0, "flavor": "exact-jw"}),
                            initial_occupations=[19, 20], t_max=10.0, steps=200, scheme="strang-2")
-    sums = [prof.values.sum() for prof in run(cfg).profiles["trotter-exact"]]
+    sums = [prof.sum() for prof in run(cfg).profiles["trotter-exact"]]
     assert len(sums) == 201 and max(abs(s - 2.0) for s in sums) < 1e-9
 
 

@@ -93,9 +93,9 @@ def test_run_two_site_rabi():
     assert len(rec.times) == 9
     exact = rec.profiles["exact"]
     for t, prof in zip(rec.times, exact):
-        assert prof.values[0] == pytest.approx(math.cos(t) ** 2, abs=1e-10)
+        assert prof[0] == pytest.approx(math.cos(t) ** 2, abs=1e-10)
     # halfway through the Rabi period the particle has fully transferred
-    assert exact[4].values == pytest.approx([0.0, 1.0], abs=1e-10)
+    assert exact[4] == pytest.approx([0.0, 1.0], abs=1e-10)
     assert rec.series["exact"]["P0"][0] == pytest.approx(1.0)
     assert rec.series["exact"]["R2n"][4] == pytest.approx(1.0, abs=1e-10)
 
@@ -124,7 +124,7 @@ def test_run_exact_is_sector_evolution(monkeypatch, flavor, occ):
     assert shapes == [(dim, dim)]
     for t, prof in zip(rec.times, rec.profiles["exact"]):
         want = density_profile(full.evolve(psi0, t), t, "exact").values
-        assert np.abs(prof.values - want).max() < 1e-12
+        assert np.abs(prof - want).max() < 1e-12
 
 
 # (L, occupied sites, steps); C(5, 3) = 10 < 12 steps: more table rows than sector states
@@ -139,6 +139,7 @@ def test_run_matches_per_step_oracle(flavor, L, occ, steps):
                            scheme="strang-2", shots=300, readout=readout, mitigation=True,
                            seed=12, outputs=list(OUTPUT_NAMES))
     rec = run(cfg)
+    d = rec.to_dict()
     basis, N = sector_basis(L, len(occ)), len(occ)
     decomp = spectrum(sector_hamiltonian(p, basis))
     start = np.searchsorted(basis, sum(1 << s for s in occ))
@@ -161,10 +162,10 @@ def test_run_matches_per_step_oracle(flavor, L, occ, steps):
         assert set(rec.profiles) == set(rec.correlations) == set(rec.series) == set(states)
         for src, (state, model) in states.items():
             prof = density_profile(state, t, src, model=model)
-            assert rec.profiles[src][s].time == t
-            assert np.array_equal(rec.profiles[src][s].values, prof.values)
-            assert rec.correlations[src][s].time == t
-            assert np.array_equal(rec.correlations[src][s].values,
+            assert rec.times[s] == t
+            assert np.array_equal(rec.profiles[src][s], prof.values)
+            assert d["correlations"][src][s]["time"] == t
+            assert np.array_equal(rec.correlations[src][s],
                                   correlation(state, t, src, model=model).values)
             series = rec.series[src]
             assert series["P0"][s] == edge_probability_P0(prof)
@@ -233,7 +234,7 @@ def test_run_correlation_output():
     rec = run(cfg)
     mats = rec.correlations["exact"]
     assert len(mats) == 3
-    assert mats[0].values[0, 1] == pytest.approx(1.0)  # both occupied at t=0
+    assert mats[0][0, 1] == pytest.approx(1.0)  # both occupied at t=0
 
 
 def test_run_mitigated_correlation_uses_mitigated_z():
@@ -246,9 +247,9 @@ def test_run_mitigated_correlation_uses_mitigated_z():
     for prof, mit, raw in zip(rec.profiles["trotter-sampled-mitigated"],
                               rec.correlations["trotter-sampled-mitigated"],
                               rec.correlations["trotter-sampled"]):
-        z_mit = 1.0 - 2.0 * prof.values
-        assert np.allclose(mit.values, np.outer(z_mit, z_mit), rtol=0, atol=1e-12)
-        assert not np.allclose(mit.values, raw.values)
+        z_mit = 1.0 - 2.0 * prof
+        assert np.allclose(mit, np.outer(z_mit, z_mit), rtol=0, atol=1e-12)
+        assert not np.allclose(mit, raw)
 
 
 def test_run_deterministic():
@@ -259,7 +260,7 @@ def test_run_deterministic():
     a, b = run(cfg), run(cfg)
     for src in a.profiles:
         for pa, pb in zip(a.profiles[src], b.profiles[src]):
-            assert np.array_equal(pa.values, pb.values)
+            assert np.array_equal(pa, pb)
 
 
 def test_sweep_matches_single_runs():
@@ -273,7 +274,7 @@ def test_sweep_matches_single_runs():
         initial_occupations=[0], t_max=1.0, steps=2, seed=10))
     for src in solo.profiles:
         for pa, pb in zip(recs[0].profiles[src], solo.profiles[src]):
-            assert np.array_equal(pa.values, pb.values)
+            assert np.array_equal(pa, pb)
 
 
 def test_sweep_seeds_and_empty():
@@ -288,6 +289,18 @@ def test_sweep_seeds_and_empty():
         sweep(base, "J", [1.0])
     with pytest.raises(ConfigError):
         sweep(base, "V", [float("nan")])
+
+
+@pytest.mark.parametrize("values", [["a"], [10**400], [True], [0.5, float("nan")]],
+                         ids=["str", "huge", "bool", "nan"])
+def test_sweep_refuses_bad_values_before_any_run(monkeypatch, values):
+    def no_run(cfg):
+        raise AssertionError("sweep() ran a point before checking every value")
+
+    monkeypatch.setattr(experiment, "run", no_run)
+    base = ExperimentConfig(model=ModelParams(L=3), initial_occupations=[0])
+    with pytest.raises(ConfigError, match="^model: V must be a finite number, got "):
+        sweep(base, "V", values)
 
 
 def test_sweep_rng_streams_distinct(monkeypatch):
@@ -320,16 +333,33 @@ def test_emit_csv_layout(tmp_path):
     names = [os.path.basename(p) for p in paths]
     assert names == ["case_000.density.csv", "case_000.scalars.csv",
                      "case_000.correlation.csv"]
-    density_lines = open(paths[0]).read().strip().split("\n")
+    density_lines = pathlib.Path(paths[0]).read_text().strip().split("\n")
     assert density_lines[0] == "step,time,site,density,source"
     # 2 sources x 3 steps x 3 sites rows + header
     assert len(density_lines) == 1 + 2 * 3 * 3
-    scalar_lines = open(paths[1]).read().strip().split("\n")
+    scalar_lines = pathlib.Path(paths[1]).read_text().strip().split("\n")
     assert scalar_lines[0] == "step,time,name,value,source"
     assert len(scalar_lines) == 1 + 2 * 3  # P0 only, per source per step
-    corr_lines = open(paths[2]).read().strip().split("\n")
+    corr_lines = pathlib.Path(paths[2]).read_text().strip().split("\n")
     assert corr_lines[0] == "time,i,j,value,source"
     assert len(corr_lines) == 1 + 2 * 3 * 9
+
+
+def test_emit_csv_file_set(tmp_path):
+    """Every source's densities are written whatever outputs lists; the scalars and
+    correlation files only when they have rows."""
+    base = ExperimentConfig(model=ModelParams(lambda_J=0.5, L=3), initial_occupations=[0],
+                            t_max=1.0, steps=2)
+    for outputs, suffixes in ((["P0"], [".density.csv", ".scalars.csv"]),
+                              (["density"], [".density.csv"])):
+        rec = run(dataclasses.replace(base, outputs=outputs))
+        paths = emit(rec, "csv", str(tmp_path / outputs[0]), stem="case")
+        assert [os.path.basename(p) for p in paths] == ["case_000" + s for s in suffixes]
+        density_lines = pathlib.Path(paths[0]).read_text().splitlines()
+        assert len(density_lines) == 1 + 2 * 3 * 3  # 2 sources x 3 steps x 3 sites + header
+        (path,) = emit(rec, "json", str(tmp_path / outputs[0]))
+        data = json.loads(pathlib.Path(path).read_text())
+        assert data["correlations"] == {"exact": [], "trotter-exact": []}
 
 
 def test_emit_json_round_trip(tmp_path):
@@ -338,11 +368,11 @@ def test_emit_json_round_trip(tmp_path):
         initial_occupations=[0], t_max=1.0, steps=2)
     rec = run(cfg)
     (path,) = emit(rec, "json", str(tmp_path))
-    data = json.loads(open(path).read())
+    data = json.loads(pathlib.Path(path).read_text())
     assert data["config"]["model"]["lambda_J"] == 0.9
     assert data["times"] == rec.times
     got = np.array(data["profiles"]["exact"])
-    want = np.array([p.values for p in rec.profiles["exact"]])
+    want = rec.profiles["exact"]
     assert np.array_equal(got, want)
 
 
@@ -402,8 +432,9 @@ def test_numpy_scalars_and_tuples_run_as_ints_and_lists(tmp_path):
         b_paths = emit(run(numpy), fmt, str(tmp_path / fmt / "numpy"))
         assert len(a_paths) == len(b_paths) == (1 if fmt == "json" else 3)
         for a, b in zip(a_paths, b_paths):
-            assert ([line for line in open(a) if '"timestamp"' not in line]
-                    == [line for line in open(b) if '"timestamp"' not in line])
+            a_lines, b_lines = (pathlib.Path(p).read_text().splitlines() for p in (a, b))
+            assert ([line for line in a_lines if '"timestamp"' not in line]
+                    == [line for line in b_lines if '"timestamp"' not in line])
 
 
 def test_emit_unknown_format(tmp_path):
@@ -419,7 +450,7 @@ def test_emit_byte_identical_reruns(tmp_path):
     a = emit(run(cfg), "csv", str(tmp_path / "a"))
     b = emit(run(cfg), "csv", str(tmp_path / "b"))
     for pa, pb in zip(a, b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert pathlib.Path(pa).read_bytes() == pathlib.Path(pb).read_bytes()
 
 
 def test_preset_integrity():
