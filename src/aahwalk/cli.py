@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -16,15 +17,8 @@ from .circuit import Circuit, Gate, KIND_X, lower, trotter_circuit, export_qasm
 from .errors import ConfigError, ResourceLimitError
 from .exact import (MAX_SECTOR_STATES, sector_basis, sector_hamiltonian,
                     single_particle_hamiltonian, spectrum, spectrum_csv)
-from .experiment import (
-    PRESET_NAMES,
-    SWEEP_AXES,
-    config_from_dict,
-    emit,
-    preset_configs,
-    run,
-    sweep,
-)
+from .experiment import (PRESET_NAMES, SWEEP_AXES, config_from_dict, emit, preset_configs, run,
+                         sweep, write_file)
 from .model import FLAVORS
 
 EXIT_OK = 0
@@ -59,6 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flavor", choices=FLAVORS, default=None)
 
 
+@functools.cache  # built once: main may be called many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aahwalk",
                                      description=__doc__.splitlines()[0])
@@ -97,8 +92,7 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_file(path, [text])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
             emit(run(cfg), args.format, args.out)
         elif args.command == "sweep":
             cfg = _load_config(args.config, args)
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--values: {exc}") from exc
             records = sweep(cfg, args.axis, values)
             emit(records, args.format, args.out, stem=f"sweep_{args.axis}")
         elif args.command == "preset":

@@ -6,9 +6,9 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 import time as _time
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -264,43 +264,42 @@ def sweep(base: ExperimentConfig, axis: str, values: list[float]) -> list[RunRec
 # ---------------------------------------------------------------------------
 # File emission
 
-def _atomic_write(path: str, lines: list[str]) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+def write_file(path: str, chunks) -> None:
+    """Write an iterable of text chunks to a new file beside path, then rename it into
+    place, so path holds the old bytes or all the new ones. The new file is opened with
+    "x" under a random name, so it gets the mode a plain open() gives (0666 & ~umask)."""
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")  # apart: appending it to a large text would copy the text
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
 def _csv_files(rec: RunRecord):
-    """(suffix, lines) of each CSV file of a record that has content; every source's
-    densities are always written. Cells format Python floats from .tolist() rows."""
-    lines = ["step,time,site,density,source"]
-    for src in sorted(rec.profiles):
-        for step, (t, row) in enumerate(zip(rec.times, rec.profiles[src].tolist())):
-            lines += [f"{step},{t!r},{site},{v!r},{src}" for site, v in enumerate(row)]
-    yield ".density.csv", lines
+    """(suffix, chunks) of each CSV file of a record that has content; every source's
+    densities are always written. The chunks are lazy, one per time step of one source
+    (one per line of scalars), with cells formatted from Python floats of .tolist() rows."""
+    times = [repr(t) for t in rec.times]  # each time formatted once, not once per cell
+    yield ".density.csv", chain(["step,time,site,density,source\n"], (
+        "".join([f"{step},{t},{site},{v!r},{src}\n" for site, v in enumerate(row)])
+        for src in sorted(rec.profiles)
+        for step, (t, row) in enumerate(zip(times, rec.profiles[src].tolist()))))
     if any(rec.series.values()):
-        lines = ["step,time,name,value,source"]
-        for src in sorted(rec.series):
-            for name, values in rec.series[src].items():  # in SCALAR_NAMES order
-                lines += [f"{step},{t!r},{name},{v!r},{src}"
-                          for step, (t, v) in enumerate(zip(rec.times, values))]
-        yield ".scalars.csv", lines
+        yield ".scalars.csv", chain(["step,time,name,value,source\n"], (
+            f"{step},{t},{name},{v!r},{src}\n" for src in sorted(rec.series)
+            for name, values in rec.series[src].items()  # in SCALAR_NAMES order
+            for step, (t, v) in enumerate(zip(times, values))))
     if any(len(tab) for tab in rec.correlations.values()):
-        lines = ["time,i,j,value,source"]
-        for src in sorted(rec.correlations):
-            for t, mat in zip(rec.times, rec.correlations[src]):
-                for i, row in enumerate(mat.tolist()):
-                    lines += [f"{t!r},{i},{j},{v!r},{src}" for j, v in enumerate(row)]
-        yield ".correlation.csv", lines
+        yield ".correlation.csv", chain(["time,i,j,value,source\n"], (
+            "".join([f"{t},{i},{j},{v!r},{src}\n"
+                     for i, row in enumerate(mat.tolist()) for j, v in enumerate(row)])
+            for src in sorted(rec.correlations) for t, mat in zip(times, rec.correlations[src])))
 
 
 def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
@@ -314,13 +313,12 @@ def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
         prefix = os.path.join(out_dir, f"{stem}_{i:03d}")
         if fmt == "json":
             files = [(".json", [json.dumps(rec.to_dict(), sort_keys=True, indent=1,
-                                           default=lambda x: x.tolist())])]  # numpy values
+                                           default=lambda x: x.tolist()), "\n"])]  # numpy values
         else:
             files = _csv_files(rec)
-        for suffix, lines in files:
-            _atomic_write(prefix + suffix, lines)
+        for suffix, chunks in files:
+            write_file(prefix + suffix, chunks)
             written.append(prefix + suffix)
-            del lines  # free this file's lines before the next file's are built
     return written
 
 

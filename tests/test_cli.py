@@ -355,3 +355,37 @@ def test_missing_file_exits_4(tmp_path, capsys):
 def test_unknown_preset_rejected():
     with pytest.raises(SystemExit):
         main(["preset", "fig99"])
+
+
+def test_sweep_unparsable_values_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--axis", "V", "--values", "1,abc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --values: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.fixture
+def umask():
+    old = os.umask(0o027)
+    try:
+        yield 0o027
+    finally:
+        os.umask(old)
+
+
+def test_output_files_have_the_umask_mode(tmp_path, umask):
+    """Every file the program writes gets the mode a plain open() gives, 0666 & ~umask,
+    and a --out FILE in a missing directory creates it, as emit's --out DIR does."""
+    cfg = _write_config(tmp_path, outputs=["density", "P0", "correlation"])
+    out = tmp_path / "new" / "dir"
+    for fmt in ("csv", "json"):
+        assert main(["run", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert main(["spectrum", cfg, "--out", str(out / "spectrum.csv")]) == 0
+    assert main(["export-qasm", cfg, "--out", str(out / "walk.qasm")]) == 0
+    names = sorted(os.listdir(out))
+    assert names == ["run_000.correlation.csv", "run_000.density.csv", "run_000.json",
+                     "run_000.scalars.csv", "spectrum.csv", "walk.qasm"]
+    for name in names:
+        assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask, name

@@ -26,6 +26,7 @@ from aahwalk.experiment import (
     preset_configs,
     run,
     sweep,
+    write_file,
 )
 from aahwalk.model import FLAVORS, ModelParams
 from aahwalk.noise import ReadoutModel, corrupt
@@ -451,6 +452,20 @@ def test_emit_byte_identical_reruns(tmp_path):
     b = emit(run(cfg), "csv", str(tmp_path / "b"))
     for pa, pb in zip(a, b):
         assert pathlib.Path(pa).read_bytes() == pathlib.Path(pb).read_bytes()
+
+
+def test_write_file_keeps_the_old_file_when_the_chunks_fail(tmp_path):
+    target = tmp_path / "run_000.density.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "step,time,site,density,source\n"
+        raise RuntimeError("table gone")
+
+    with pytest.raises(RuntimeError, match="table gone"):
+        write_file(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == [target.name]  # no temporary file left beside it
 
 
 def test_preset_integrity():
