@@ -107,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--values: {exc}") from exc
+            if not values:
+                raise ConfigError("--values: no values")
             records = sweep(cfg, args.axis, values)
             emit(records, args.format, args.out, stem=f"sweep_{args.axis}")
         elif args.command == "preset":

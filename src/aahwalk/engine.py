@@ -90,12 +90,13 @@ SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
-    """Each gate of an unlowered circuit as (diag, off, partner) on the sector
-    `basis`: new = diag*old + off*old[partner], or diag*old where partner is
-    None (a diagonal gate, such as Rz).  A gate's unitary is circuit_unitary of
-    the gate moved to qubits 0..k-1 (the lowered gate run through the engine
-    kernels); within one particle number it may only keep a state or flip all
-    its qubits (01 <-> 10)."""
+    """The gates of an unlowered circuit as (diag, off, partner) entries on the
+    sector `basis`: new = diag*old + off*old[partner], or diag*old where partner
+    is None.  A diagonal gate D (such as Rz) folds into the entry before it, as
+    (D*diag, D*off, partner).  A gate's unitary is circuit_unitary of the gate
+    moved to qubits 0..k-1 (the lowered gate run through the engine kernels);
+    within one particle number it may only keep a state or flip all its qubits
+    (01 <-> 10)."""
     step: SectorStep = []
     for g in circuit.gates:
         k = len(g.qubits)
@@ -106,10 +107,15 @@ def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
         if np.abs(u - np.diag(u.diagonal()) - np.diag(off)[:, ::-1]).max() > SECTOR_LEAK_TOL:
             raise ValueError(f"gate {g.kind} on {g.qubits} leaves the particle-number sector")
         idx = sum(((basis >> q) & 1) << j for j, q in enumerate(g.qubits))
-        # where off is 0 the flipped state is outside the sector: any partner will do
-        partner = np.searchsorted(basis, basis ^ sum(1 << q for q in g.qubits))
-        partner = np.minimum(partner, len(basis) - 1) if off[idx].any() else None
-        step.append((u.diagonal()[idx], off[idx], partner))
+        diag, off = u.diagonal()[idx], off[idx]
+        if step and not off.any():  # a diagonal gate
+            prev_diag, prev_off, partner = step.pop()
+            diag, off = diag * prev_diag, diag * prev_off
+        else:
+            # where off is 0 the flipped state is outside the sector: any partner will do
+            partner = np.searchsorted(basis, basis ^ sum(1 << q for q in g.qubits))
+            partner = np.minimum(partner, len(basis) - 1) if off.any() else None
+        step.append((diag, off, partner))
     return step
 
 
@@ -129,8 +135,9 @@ def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
 
 
 def z_sum(weights: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * signs[i, k] per site i; signs = 1 - 2 * site_bits (bit 0: +1)."""
-    return np.sum(weights * signs, axis=1)
+    """sum_k weights[..., k] * signs[i, k] per site i, for one weight vector or a stack
+    of them (each row as alone); signs = 1 - 2 * site_bits (bit 0: +1)."""
+    return np.sum(weights[..., None, :] * signs, axis=-1)
 
 
 def z_vector(state: StateVector | CountsTable) -> np.ndarray:

@@ -196,21 +196,26 @@ def run(config: ExperimentConfig) -> RunRecord:
     signs = 1 - 2 * site_bits(basis, L)
 
     trot = (np.arange(len(basis)) == start).astype(complex)
-    for s, t in enumerate(times):
-        if s > 0:
-            trot = apply_sector_step(step, trot)
-        # two real products: a complex one would copy U to complex every step
-        v = np.exp(-1j * decomp.eigenvalues * t) * c0
-        amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
-        z[SOURCE_EXACT][s] = z_sum(np.abs(amps) ** 2, signs)
-        z[SOURCE_TROTTER_EXACT][s] = z_sum(np.abs(trot) ** 2, signs)
-        if config.shots > 0:
-            # seed last: numpy splits a seed >= 2**32 into words, which could alias s
-            counts = sample_counts(StateVector(trot, L, basis), config.shots,
-                                   (_SAMPLE, s, config.seed))
-            if config.readout is not None:
-                counts = corrupt(counts, config.readout, (_CORRUPT, s, config.seed))
-            z[SOURCE_TROTTER_SAMPLED][s] = z_vector(counts)
+    rows = max(1, 2**20 // (L * len(basis)))  # steps per block: z_sum's (rows, L, C) product
+    for first in range(0, len(times), rows):
+        block = slice(first, first + rows)
+        exact_rows, trot_rows = [], []
+        phases = np.exp(-1j * decomp.eigenvalues * np.array(times[block])[:, None]) * c0
+        for s, v in enumerate(phases, first):
+            if s > 0:
+                trot = apply_sector_step(step, trot)
+            trot_rows.append(trot)
+            # two real products: a complex one would copy U to complex every step
+            exact_rows.append(decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag))
+            if config.shots > 0:
+                # seed last: numpy splits a seed >= 2**32 into words, which could alias s
+                counts = sample_counts(StateVector(trot, L, basis), config.shots,
+                                       (_SAMPLE, s, config.seed))
+                if config.readout is not None:
+                    counts = corrupt(counts, config.readout, (_CORRUPT, s, config.seed))
+                z[SOURCE_TROTTER_SAMPLED][s] = z_vector(counts)
+        z[SOURCE_EXACT][block] = z_sum(np.abs(exact_rows) ** 2, signs)
+        z[SOURCE_TROTTER_EXACT][block] = z_sum(np.abs(trot_rows) ** 2, signs)
     if config.mitigation:
         sources.append(SOURCE_TROTTER_MITIGATED)
         z[SOURCE_TROTTER_MITIGATED] = mitigate_z(z[SOURCE_TROTTER_SAMPLED], config.readout)
@@ -232,7 +237,7 @@ def run(config: ExperimentConfig) -> RunRecord:
 
     sites = np.arange(L)
     scalars = {"P0": lambda src: density[src][:, 0].tolist(),
-               "R2n": lambda src: [float(np.dot(sites, row)) for row in density[src]],
+               "R2n": lambda src: np.sum(density[src] * sites, axis=-1).tolist(),
                "nE": lambda src: ((density[src][:, 0] + density[src][:, -1]) / 2.0).tolist(),
                "S2": entropy}
     series = {src: {name: scalars[name](src) for name in SCALAR_NAMES if name in config.outputs}
@@ -302,6 +307,36 @@ def _csv_files(rec: RunRecord):
             for src in sorted(rec.correlations) for t, mat in zip(times, rec.correlations[src])))
 
 
+def _json_chunks(obj, indent: str = "\n"):
+    """The text of json.dumps(obj, sort_keys=True, indent=1, default=lambda x: x.tolist())
+    for string-keyed dicts, in chunks; indent is the newline and indentation of obj's own
+    line. A list of finite floats is one chunk: json.dumps writes float.__repr__ of each."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    inner = indent + " "
+    if isinstance(obj, dict) and obj:
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield f"{',' if i else ''}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(obj[key], inner)
+        yield indent + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = "n"
+        if "n" in text:  # not all floats, or a nan or inf, which json spells NaN, Infinity
+            yield "["
+            for i, item in enumerate(obj):
+                yield ("," if i else "") + inner
+                yield from _json_chunks(item, inner)
+            yield indent + "]"
+        else:
+            yield f"[{inner}{text}{indent}]"
+    else:
+        yield json.dumps(obj)
+
+
 def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
     """Write one record (or a list) to out_dir; returns written paths."""
     if fmt not in ("csv", "json"):
@@ -312,8 +347,7 @@ def emit(records, fmt: str, out_dir: str, stem: str = "run") -> list[str]:
     for i, rec in enumerate(records):
         prefix = os.path.join(out_dir, f"{stem}_{i:03d}")
         if fmt == "json":
-            files = [(".json", [json.dumps(rec.to_dict(), sort_keys=True, indent=1,
-                                           default=lambda x: x.tolist()), "\n"])]  # numpy values
+            files = [(".json", chain(_json_chunks(rec.to_dict()), ["\n"]))]
         else:
             files = _csv_files(rec)
         for suffix, chunks in files:

@@ -60,8 +60,9 @@ def edge_probability_P0(profile: DensityProfile) -> float:
 
 
 def radial_distribution(profile: DensityProfile) -> float:
-    """Density-weighted mean site index, sum_i i * n_i (0-based i)."""
-    return float(np.dot(np.arange(profile.L), profile.values))
+    """Density-weighted mean site index, sum_i i * n_i (0-based i); the reduction
+    run() applies to a whole density table."""
+    return float(np.sum(profile.values * np.arange(profile.L), axis=-1))
 
 
 def edge_density_nE(profile: DensityProfile) -> float:

@@ -366,6 +366,15 @@ def test_sweep_unparsable_values_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [",", "", " , ,"])
+def test_sweep_without_values_exits_2(tmp_path, capsys, values):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--axis", "V", "--values", values, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --values: no values\n"
+    assert not out.exists()
+
+
 @pytest.fixture
 def umask():
     old = os.umask(0o027)

@@ -24,10 +24,12 @@ from aahwalk.engine import (
     expectation_z,
     index_to_bitstring,
     sample_counts,
+    z_sum,
     z_vector,
 )
 from aahwalk.errors import LoweringRequiredError
-from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis
+from aahwalk.exact import (StateVector, exact_evolve, prepare_fock_state, sector_basis,
+                           site_bits)
 from aahwalk.experiment import hamiltonian_matrix
 from aahwalk.model import FLAVORS, ModelParams
 
@@ -189,6 +191,25 @@ def test_sector_step_shares_read_only_gate_unitaries():
     assert np.array_equal(u, circuit_unitary(Circuit(2, [Gate(g.kind, (0, 1), g.angles)])))
 
 
+def test_sector_step_folds_diagonal_gates():
+    """A diagonal gate folds into the entry before it: each exact-jw bond (a TBLOCK, then
+    an Rz on each of its sites) is one entry, so an L=8 strang-2 step of 30 gates has 10."""
+    p = ModelParams(lambda_J=0.9, V=2.0, L=8, flavor="exact-jw")
+    basis = sector_basis(p.L, 2)
+    circuit = trotter_circuit(p, 0.3, 1, "strang-2")
+    step = compile_sector_step(circuit, basis)
+    assert (len(circuit.gates), len(step)) == (30, 10)
+    assert all(partner is not None for _, _, partner in step)
+    amps = unfolded = _random_state(p.L, basis, 0).amplitudes
+    for g in circuit.gates:
+        unfolded = apply_sector_step(compile_sector_step(Circuit(p.L, [g]), basis), unfolded)
+    assert np.allclose(apply_sector_step(step, amps), unfolded, rtol=0, atol=1e-15)
+    # a diagonal gate with no entry before it is an entry of its own
+    rz, block = circuit.gates[1], circuit.gates[0]
+    step = compile_sector_step(Circuit(p.L, [rz, block, rz]), basis)
+    assert [partner is None for _, _, partner in step] == [True, False]
+
+
 def test_sector_step_rejects_number_changing_gate():
     basis = sector_basis(3, 1)
     with pytest.raises(ValueError, match="particle-number sector"):
@@ -225,3 +246,10 @@ def test_z_vector_matches_per_site_sum(L, n):
                   for i in range(L)]
         assert np.array_equal(z_vector(counts), oracle)
         assert counts_expectation_z(counts, L - 1) == oracle[-1]
+    # a stacked (3, n) block of states, as run() reduces them: each row as the state alone
+    states = [_random_state(L, basis, seed) for seed in range(3)]
+    rows = z_sum(np.abs([psi.amplitudes for psi in states]) ** 2,
+                 1 - 2 * site_bits(states[0].indices, L))
+    assert rows.shape == (3, L)
+    for row, psi in zip(rows, states):
+        assert np.array_equal(row, z_vector(psi))

@@ -175,6 +175,29 @@ def test_run_matches_per_step_oracle(flavor, L, occ, steps):
             assert series["S2"][s] == participation_entropy(prof, 2, N)
 
 
+def test_run_blocks_match_per_step_states():
+    """run() reduces the states of a block of steps at once; a run over more than one block
+    gives each step's <Z> of that state alone, bit for bit."""
+    p = ModelParams(lambda_J=0.9, V=2.0, L=12, flavor="exact-jw")
+    cfg = ExperimentConfig(model=p, initial_occupations=[0, 5, 11], t_max=20.0, steps=400,
+                           scheme="strang-2", outputs=["density"])
+    basis = sector_basis(p.L, 3)
+    assert 2**20 // (p.L * len(basis)) < cfg.steps + 1  # rows of one block: 397 of 401
+    rec = run(cfg)
+    decomp = spectrum(sector_hamiltonian(p, basis))
+    start = np.searchsorted(basis, 1 | 1 << 5 | 1 << 11)
+    step = compile_sector_step(trotter_circuit(p, cfg.t_max / cfg.steps, 1, cfg.scheme), basis)
+    trot = (np.arange(len(basis)) == start).astype(complex)
+    for s, t in enumerate(rec.times):
+        if s > 0:
+            trot = apply_sector_step(step, trot)
+        v = np.exp(-1j * decomp.eigenvalues * t) * decomp.eigenvectors[start]
+        amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
+        for src, state in (("exact", amps), ("trotter-exact", trot)):
+            want = density_profile(StateVector(state, p.L, basis), t, src).values
+            assert np.array_equal(rec.profiles[src][s], want)
+
+
 def test_run_size_guard_bounds(monkeypatch):
     """Steps and shots are bounded so that no array of a run exceeds
     MAX_SECTOR_STATES**2 entries: the largest admitted values pass the guard
@@ -375,6 +398,27 @@ def test_emit_json_round_trip(tmp_path):
     got = np.array(data["profiles"]["exact"])
     want = rec.profiles["exact"]
     assert np.array_equal(got, want)
+
+
+def test_json_chunks_write_the_json_dumps_layout():
+    """emit writes JSON by hand; the text is json.dumps(..., sort_keys=True, indent=1)."""
+    edge = {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300],
+            "mixed": [1.0, 2, True, None, "x"], "numpy": [np.int64(3), np.float64(2.5),
+                                                        np.bool_(False), np.float32(0.5)],
+            "scalars": {"i": np.int32(-7), "f": np.float64(-0.0), "b": np.bool_(True)},
+            "array": np.arange(6.0).reshape(2, 3), "tuple": (1, 2.5, ("a", [])),
+            "empty": [[], {}, [[]], {"k": {}}], "": {}, "text": "h\u00e9llo \u2603 \"q\"\n",
+            "z": [[1.0, 2.0], [math.nan], []], "big": 10**30}
+    cfg = ExperimentConfig(
+        model=ModelParams(lambda_J=0.9, V=2.0, L=4, flavor="exact-jw"),
+        initial_occupations=[1, 2], t_max=1.0, steps=3, scheme="strang-2", shots=200,
+        readout=ReadoutModel((0.01, 0.02, 0.03, 0.04), 0.05), mitigation=True, seed=4,
+        outputs=list(OUTPUT_NAMES))
+    record = run(cfg).to_dict()
+    assert len(record["profiles"]) == 4
+    for obj in (edge, record):
+        want = json.dumps(obj, sort_keys=True, indent=1, default=lambda x: x.tolist())
+        assert "".join(experiment._json_chunks(obj)) == want
 
 
 def _csv_rows(path):
