@@ -32,7 +32,7 @@ def _load_config(path: str, args) -> "ExperimentConfig":
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an int of too many digits
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return _override(config_from_dict(data), args)
 

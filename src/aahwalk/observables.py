@@ -26,13 +26,15 @@ SOURCE_TROTTER_MITIGATED = "trotter-sampled-mitigated"
 
 @dataclass
 class DensityProfile:
-    time: float
+    """One profile at one time, or a (steps+1) x L table with a list of times, one per row;
+    the scalar diagnostics reduce over the site axis, to a float or a list of floats."""
+    time: float | list[float]
     values: np.ndarray
     source: str
 
     @property
     def L(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 @dataclass
@@ -54,20 +56,19 @@ def density_profile(state, time: float, source: str,
     return DensityProfile(time, (1.0 - z) / 2.0, source)
 
 
-def edge_probability_P0(profile: DensityProfile) -> float:
+def edge_probability_P0(profile: DensityProfile) -> float | list[float]:
     """Density at the first site."""
-    return float(profile.values[0])
+    return profile.values[..., 0].tolist()
 
 
-def radial_distribution(profile: DensityProfile) -> float:
-    """Density-weighted mean site index, sum_i i * n_i (0-based i); the reduction
-    run() applies to a whole density table."""
-    return float(np.sum(profile.values * np.arange(profile.L), axis=-1))
+def radial_distribution(profile: DensityProfile) -> float | list[float]:
+    """Density-weighted mean site index, sum_i i * n_i (0-based i)."""
+    return np.sum(profile.values * np.arange(profile.L), axis=-1).tolist()
 
 
-def edge_density_nE(profile: DensityProfile) -> float:
+def edge_density_nE(profile: DensityProfile) -> float | list[float]:
     """(n_first + n_last)/2."""
-    return float((profile.values[0] + profile.values[-1]) / 2.0)
+    return ((profile.values[..., 0] + profile.values[..., -1]) / 2.0).tolist()
 
 
 def correlation(state, time: float = 0.0, source: str = SOURCE_EXACT,
@@ -90,7 +91,7 @@ def connected_correlation(psi: StateVector, time: float = 0.0,
     return CorrelationMatrix(time, zz - np.outer(z, z), source)
 
 
-def participation_entropy(profile: DensityProfile, k: int = 2, N: int = 1) -> float:
+def participation_entropy(profile: DensityProfile, k: int = 2, N: int = 1) -> float | list[float]:
     """Renyi-style spread measure over p_i = n_i / N.
 
     Returns (1/(1-k)) * ln((1/N) * sum_i p_i^k); natural logarithm.
@@ -99,9 +100,11 @@ def participation_entropy(profile: DensityProfile, k: int = 2, N: int = 1) -> fl
         raise ValueError("entropy order k must be an integer >= 2")
     if N < 1:
         raise ValueError("particle count N must be >= 1")
-    p = profile.values / N
-    weight = float(np.sum(p**k))  # a mitigated profile may hold negative densities
-    if weight <= 0:
-        raise ValueError(f"participation entropy of the {profile.source} profile at"
-                         f" t={profile.time} undefined: sum of p_i^{k} is {weight}")
-    return float(math.log(weight / N) / (1 - k))
+    weights = np.sum((profile.values / N) ** k, axis=-1)
+    rows = np.atleast_1d(weights).tolist()
+    for t, weight in zip(profile.time if weights.ndim else [profile.time], rows):
+        if weight <= 0:  # a mitigated profile may hold negative densities
+            raise ValueError(f"participation entropy of the {profile.source} profile at"
+                             f" t={t} undefined: sum of p_i^{k} is {weight}")
+    entropy = [math.log(weight / N) / (1 - k) for weight in rows]
+    return entropy if weights.ndim else entropy[0]

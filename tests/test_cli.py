@@ -85,10 +85,23 @@ def test_spectrum_single_particle(tmp_path, capsys):
     assert len(lines) == 5  # header + L rows
 
 
-def test_invalid_json_exits_2(tmp_path, capsys):
+# Every subcommand that loads a config file, with the options it requires.
+CONFIG_COMMANDS = [["run"], ["sweep", "--axis", "V", "--values", "0"], ["export-qasm"],
+                   ["spectrum"]]
+
+
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000], ids=["not-json", "deep"])
+@pytest.mark.parametrize("command", CONFIG_COMMANDS, ids=lambda c: c[0])
+def test_invalid_json_exits_2(tmp_path, capsys, command, text):
+    """A file that is not JSON, or nests deeper than the decoder's recursion limit, is a
+    config error: exit 2 with one stderr line, no traceback."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", str(bad)]) == 2
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main([command[0], str(bad), *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: invalid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -327,6 +327,21 @@ def test_sweep_refuses_bad_values_before_any_run(monkeypatch, values):
         sweep(base, "V", values)
 
 
+@pytest.mark.parametrize("field, value, prefix",
+                         [("model", 5, "model: "), ("model", {"L": 4}, "model: "),
+                          ("seed", "1", "seed: ")], ids=["model-int", "model-dict", "seed-str"])
+def test_sweep_keeps_the_config_contract(monkeypatch, field, value, prefix):
+    """A base config that run() refuses is refused by sweep() with the same ConfigError,
+    before it builds the points (with replace() and base.seed + i) or runs any."""
+    def no_run(cfg):
+        raise AssertionError("sweep() ran a point of an invalid base config")
+
+    monkeypatch.setattr(experiment, "run", no_run)
+    base = ExperimentConfig(model=ModelParams(L=3), initial_occupations=[0])
+    with pytest.raises(ConfigError, match=f"^{prefix}"):
+        sweep(dataclasses.replace(base, **{field: value}), "V", [0.0, 1.0])
+
+
 def test_sweep_rng_streams_distinct(monkeypatch):
     seeds = []
 

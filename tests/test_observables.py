@@ -140,3 +140,38 @@ def test_participation_entropy_errors():
         participation_entropy(prof, 2, 0)
     with pytest.raises(ValueError):
         participation_entropy(DensityProfile(0.0, np.zeros(3), "exact"), 2, 1)
+
+
+# A (T, L) density table with negative (mitigated) densities, and its times.
+TIMES = [s * 0.4 for s in range(5)]
+TABLE = np.array([[0.9, 0.05, -0.02, 0.0, 0.03, 0.04],
+                  [0.6, 0.3, 0.1, -0.04, 0.02, 0.05],
+                  [0.3, 0.35, 0.2, 0.1, -0.03, 0.08],
+                  [0.15, 0.25, 0.3, 0.2, 0.12, -0.01],
+                  [-0.05, 0.2, 0.25, 0.3, 0.2, 0.1]])
+SCALAR_FUNCTIONS = {
+    "P0": edge_probability_P0, "R2n": radial_distribution, "nE": edge_density_nE,
+    "S2": lambda prof: participation_entropy(prof, 2, 2),
+    "S3": lambda prof: participation_entropy(prof, 3, 1)}
+
+
+@pytest.mark.parametrize("name", SCALAR_FUNCTIONS)
+def test_scalar_functions_reduce_a_table_row_by_row(name):
+    """On a (steps+1) x L table each function gives a list of Python floats, each bit for
+    bit its value on that row alone; on one profile it gives a Python float."""
+    fn = SCALAR_FUNCTIONS[name]
+    table = DensityProfile(TIMES, TABLE, "trotter-sampled-mitigated")
+    assert table.L == TABLE.shape[1]
+    rows = [fn(DensityProfile(t, row, table.source)) for t, row in zip(TIMES, TABLE)]
+    assert all(type(v) is float for v in rows)  # not np.float64, which prints differently
+    series = fn(table)
+    assert type(series) is list and all(type(v) is float for v in series)
+    assert series == rows and len(series) == len(TIMES)
+
+
+def test_participation_entropy_names_the_first_undefined_row():
+    table = TABLE.copy()
+    table[[2, 4]] = 0.0  # sum of p_i^2 is 0 in rows 2 and 4
+    with pytest.raises(ValueError, match=rf"^participation entropy of the trotter-sampled"
+                       rf" profile at t={TIMES[2]} undefined: sum of p_i\^2 is 0\.0$"):
+        participation_entropy(DensityProfile(TIMES, table, "trotter-sampled"), 2, 2)
