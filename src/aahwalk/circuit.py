@@ -48,7 +48,6 @@ class Gate:
 class Circuit:
     L: int
     gates: list[Gate] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def append(self, gate: Gate) -> None:
         for q in gate.qubits:
@@ -85,7 +84,7 @@ def two_qubit_block(alpha: float, beta: float, gamma: float,
 
 def lower(circuit: Circuit) -> Circuit:
     """Replace every TBLOCK by its CNOT + rotation decomposition."""
-    out = Circuit(circuit.L, [], dict(circuit.metadata))
+    out = Circuit(circuit.L)
     for g in circuit.gates:
         if g.kind == KIND_TBLOCK:
             for gg in two_qubit_block(*g.angles, (g.qubits[0], g.qubits[1])):
@@ -130,8 +129,7 @@ def trotter_circuit(params: ModelParams, t: float, n: int,
     dt = t / n
     even = list(range(0, L - 1, 2))
     odd = list(range(1, L - 1, 2))
-    c = Circuit(L, [], {"steps": n, "scheme": scheme, "t": t, "dt": dt,
-                        "flavor": params.flavor})
+    c = Circuit(L)
     for _ in range(n):
         if scheme == SCHEME_SEQUENTIAL:
             order = [(b, dt) for b in range(L - 1)]

@@ -1,15 +1,13 @@
 """Statevector kernels: gate application, sector Trotter step, the <Z> vector, sampling.
 
-Measured outcomes are basis indices (bit i = site i).  Only the JSON
-rendering of a CountsTable uses bit strings, site-0-first: character k of
-a key is the state of site k, so |00100> (site 2 occupied, basis index 4)
-renders as "00100".
+Measured outcomes are integer basis indices (bit i = site i), with no JSON rendering.
+Bit strings appear only in index_to_bitstring and bitstring_to_index, site-0-first:
+character k is the state of site k, so |00100> (site 2 occupied, index 4) is "00100".
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +28,6 @@ class CountsTable:
     indices: np.ndarray
     counts: np.ndarray
     L: int
-    seed: int | tuple[int, ...] | None = None
-
-    def to_json(self) -> str:
-        keyed = {index_to_bitstring(int(i), self.L): int(c)
-                 for i, c in zip(self.indices, self.counts)}
-        return json.dumps({"shots": self.shots, "counts": keyed,
-                           "seed": self.seed}, sort_keys=True)
 
 
 def index_to_bitstring(index: int, L: int) -> str:
@@ -167,4 +158,4 @@ def sample_counts(psi: StateVector, shots: int, seed) -> CountsTable:
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     nonzero = np.flatnonzero(draws)
-    return CountsTable(shots, psi.indices[nonzero], draws[nonzero], psi.L, seed)
+    return CountsTable(shots, psi.indices[nonzero], draws[nonzero], psi.L)

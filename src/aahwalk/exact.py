@@ -79,28 +79,20 @@ def _check_hermitian(H: np.ndarray) -> None:
 
 @functools.cache
 def _openblas_thread_counts() -> tuple[tuple, ...]:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process,
-    numpy's among them; none where /proc/self/maps does not exist."""
+    """(get, set) thread-count functions of the OpenBLAS that eigh runs on, or none: dlsym
+    on numpy.linalg's extension also searches the libraries it links against."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # loaded already: the same handle
     except OSError:
         return ()
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)  # already loaded: the same handle
-        except OSError:  # e.g. a mapping of a file deleted since
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return ((get, put),)
+    return ()
 
 
 @contextmanager

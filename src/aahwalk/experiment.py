@@ -114,6 +114,9 @@ class ExperimentConfig:
         if int(self.shots) * L > limit:
             raise ResourceLimitError(f"shots: at most {limit // L} at L={L}"
                                      f" (a shots x L array over {limit} entries)")
+        if math.comb(L, len(occ)) > MAX_SECTOR_STATES:  # sector_basis's guard, before any run
+            raise ResourceLimitError(f"sector dimension C({L}, {len(occ)}) ="
+                                     f" {math.comb(L, len(occ))} exceeds {MAX_SECTOR_STATES}")
 
 
 def _from_object(name: str, cls, obj):

@@ -50,7 +50,7 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
     bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
     indices, out = np.unique(bits @ (1 << sites), return_counts=True)
-    return CountsTable(counts.shots, indices, out, L, seed)
+    return CountsTable(counts.shots, indices, out, L)
 
 
 def mitigate_z_vector(counts: CountsTable, model: ReadoutModel) -> np.ndarray:

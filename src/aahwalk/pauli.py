@@ -126,16 +126,7 @@ ROLE_CREATION = "creation"
 ROLE_ANNIHILATION = "annihilation"
 
 
-@dataclass(frozen=True)
-class LadderImage:
-    """Qubit realization of a fermionic ladder operator at one site."""
-
-    role: str
-    site: int
-    pauli_sum: PauliSum
-
-
-def jw_ladder(site: int, L: int, role: str) -> LadderImage:
+def jw_ladder(site: int, L: int, role: str) -> PauliSum:
     """Z-string-dressed sigma^± image of c_site / c_site^dag on L qubits."""
     if not 0 <= site < L:
         raise IndexError(f"site {site} out of range [0, {L - 1}]")
@@ -149,7 +140,7 @@ def jw_ladder(site: int, L: int, role: str) -> LadderImage:
         PauliString(prefix + "X" + suffix, 0.5),
         PauliString(prefix + "Y" + suffix, 0.5 * sign),
     ]
-    return LadderImage(role, site, PauliSum(terms))
+    return PauliSum(terms)
 
 
 def number_operator(site: int, L: int) -> PauliSum:
@@ -184,8 +175,8 @@ def build_fermionic_hamiltonian(params: ModelParams) -> PauliSum:
     total = PauliSum([])
     for b in range(L - 1):
         jb = bond_coefficient(params, b)
-        cdag_next = jw_ladder(b + 1, L, ROLE_CREATION).pauli_sum
-        c_here = jw_ladder(b, L, ROLE_ANNIHILATION).pauli_sum
+        cdag_next = jw_ladder(b + 1, L, ROLE_CREATION)
+        c_here = jw_ladder(b, L, ROLE_ANNIHILATION)
         hop = cdag_next * c_here
         total = total + hop.scaled(jb) + hop.adjoint().scaled(jb)
         if params.V != 0.0:

@@ -86,7 +86,6 @@ def test_trotter_block_count_and_dt():
     c = trotter_circuit(p, 2.0, 10, "sequential")
     tblocks = [g for g in c.gates if g.kind == KIND_TBLOCK]
     assert len(tblocks) == 40
-    assert c.metadata["dt"] == pytest.approx(0.2)
 
 
 def test_trotter_unknown_scheme():

@@ -153,15 +153,6 @@ def test_sample_counts_rejects_zero_shots():
         sample_counts(prepare_fock_state(2, [0]), 0, seed=0)
 
 
-def test_counts_to_json_round_trip():
-    import json
-
-    counts = sample_counts(prepare_fock_state(2, [1]), 10, seed=1)
-    data = json.loads(counts.to_json())
-    assert data["counts"] == {"01": 10}
-    assert data["shots"] == 10
-
-
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_sector_step_matches_apply_circuit(flavor, scheme):

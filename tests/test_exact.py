@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aahwalk
 from aahwalk.exact import (
     _openblas_thread_counts,
     exact_evolve,
@@ -134,6 +139,25 @@ def test_small_spectrum_runs_on_one_blas_thread(monkeypatch):
         spectrum(H)
     assert seen == [[1] * len(counts)]
     assert [get() for get, _ in counts] == before
+
+
+@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                    ["blas"]["name"], reason="numpy is not built on OpenBLAS")
+def test_one_thread_guard_finds_numpys_openblas():
+    """The guard finds the OpenBLAS that numpy runs on and reads its thread count. In a
+    fresh process that imports numpy alone (aahwalk.exact imports nothing else), the
+    threads are the main thread and OpenBLAS's pool: their number is OpenBLAS's count."""
+    assert _openblas_thread_counts()
+    code = ("import os; from aahwalk.exact import _openblas_thread_counts; "
+            "(get, _), = _openblas_thread_counts(); "
+            "print(get(), len(os.listdir('/proc/self/task')))")
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(pathlib.Path(aahwalk.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        get, tasks = map(int, out)
+        assert get == tasks <= int(threads)
 
 
 def test_edge_modes_even_chain():

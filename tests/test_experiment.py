@@ -342,6 +342,23 @@ def test_sweep_keeps_the_config_contract(monkeypatch, field, value, prefix):
         sweep(dataclasses.replace(base, **{field: value}), "V", [0.0, 1.0])
 
 
+def test_validate_refuses_a_sector_over_the_guard(monkeypatch):
+    """validate() checks the sector size that run() meets in sector_basis, with its
+    message, so sweep() refuses such a base before its first run."""
+    def no_run(cfg):
+        raise AssertionError("sweep() ran a point of a config over the sector guard")
+
+    cfg = ExperimentConfig(model=ModelParams(L=16), initial_occupations=list(range(8)))
+    message = r"^sector dimension C\(16, 8\) = 12870 exceeds 4096$"
+    with pytest.raises(ResourceLimitError, match=message):
+        cfg.validate()
+    with pytest.raises(ResourceLimitError, match=message):
+        sector_basis(16, 8)
+    monkeypatch.setattr(experiment, "run", no_run)
+    with pytest.raises(ResourceLimitError, match=message):
+        sweep(cfg, "V", [0.0, 1.0])
+
+
 def test_sweep_rng_streams_distinct(monkeypatch):
     seeds = []
 

@@ -66,13 +66,13 @@ def test_jw_ladder_site0_annihilation():
     img = jw_ladder(0, 3, ROLE_ANNIHILATION)
     # sigma^+ (x) I (x) I = ((X + iY)/2) on site 0
     expected = {("XII", 0.5), ("YII", 0.5j)}
-    got = {(t.ops, t.coeff) for t in img.pauli_sum.terms}
+    got = {(t.ops, t.coeff) for t in img.terms}
     assert got == expected
 
 
 def test_jw_ladder_site2_creation_z_string():
     img = jw_ladder(2, 3, ROLE_CREATION)
-    got = {(t.ops, t.coeff) for t in img.pauli_sum.terms}
+    got = {(t.ops, t.coeff) for t in img.terms}
     assert got == {("ZZX", 0.5), ("ZZY", -0.5j)}
 
 
@@ -90,13 +90,13 @@ def test_car_algebra():
     L = 3
     for i in range(L):
         for j in range(L):
-            c_i = jw_ladder(i, L, ROLE_ANNIHILATION).pauli_sum
-            cdag_j = jw_ladder(j, L, ROLE_CREATION).pauli_sum
+            c_i = jw_ladder(i, L, ROLE_ANNIHILATION)
+            cdag_j = jw_ladder(j, L, ROLE_CREATION)
             ac = _anticommutator(c_i, cdag_j, L)
             expected = np.eye(2**L) if i == j else np.zeros((2**L, 2**L))
             assert np.allclose(ac, expected, atol=1e-12)
             # {c_i, c_j} = 0
-            c_j = jw_ladder(j, L, ROLE_ANNIHILATION).pauli_sum
+            c_j = jw_ladder(j, L, ROLE_ANNIHILATION)
             assert np.allclose(_anticommutator(c_i, c_j, L), 0.0, atol=1e-12)
 
 

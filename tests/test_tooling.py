@@ -1,6 +1,6 @@
 """The package's runtime dependencies: the standard library and numpy only. scipy,
 hypothesis and pytest are test-only. Imports kept only for the benchmark's tracer name
-a call that the tracer wraps."""
+a call that the tracer wraps, and every public name of the package has a reader."""
 
 import ast
 import pathlib
@@ -9,7 +9,8 @@ import sys
 import aahwalk
 
 RUNTIME_MODULES = set(sys.stdlib_module_names) | {"numpy"}
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_src_imports_only_stdlib_and_numpy():
@@ -62,3 +63,42 @@ def test_tracer_only_imports_are_traced_and_unused():
                 assert (path.stem, alias.name) in traced, f"{path.name}: {alias.name}"
                 assert alias.name not in used, f"{path.name} uses {alias.name}"
     assert marked
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level names a statement defines: a def, a class or assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def test_public_names_are_read():
+    """Each public module-level name of src/aahwalk (a def, class or assigned constant
+    without a leading underscore) is read somewhere other than its own definition, in
+    src/, tests/ or perfbench/. A read is a name or an attribute; in perfbench/ it may
+    also be a string, because the tracer names what it wraps with getattr."""
+    src = sorted(pathlib.Path(aahwalk.__file__).parent.glob("*.py"))
+    public: dict[str, str] = {}  # name -> the file that defines it
+    read: set[str] = set()
+    readers = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in src + readers:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = _defined_names(stmt) if path in src else set()
+            public.update((name, path.name) for name in own if not name.startswith("_"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and path.parent.name == "perfbench"):
+                    name = node.value
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    assert "CountsTable" in public and "run" in public
+    assert {name: file for name, file in public.items() if name not in read} == {}
