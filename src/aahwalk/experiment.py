@@ -105,8 +105,8 @@ class ExperimentConfig:
             if name not in OUTPUT_NAMES:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
 
-        # A run's largest arrays, the (steps+1) x L <Z> tables (x L for correlations) and
-        # corrupt's shots x L bits, stay within the size of the largest U the sector guard admits.
+        # The (steps+1) x L <Z> tables (x L for correlations), the shots x L draws of each
+        # step's corrupt and its per-shot arrays stay within the largest U the sector guard admits.
         limit, width = MAX_SECTOR_STATES**2, L * L if "correlation" in self.outputs else L
         if (int(self.steps) + 1) * width > limit:  # int: a numpy integer would wrap
             raise ResourceLimitError(f"steps: at most {limit // width - 1} at L={L} with these"

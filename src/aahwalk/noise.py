@@ -4,6 +4,10 @@ Each qubit flips independently during readout: a true 0 is reported as 1
 with probability p01 and a true 1 as 0 with probability p10.  The
 per-qubit confusion matrix A = [[1-p01, p10], [p01, 1-p10]] is
 column-stochastic and invertible whenever p01 + p10 < 1.
+
+`corrupt`'s draw contract keeps sampled bytes stable: one `np.random.default_rng(seed)`;
+one `random()` double per (shot, site), row-major, shots in the stable order of their
+site-0-first bit string; a bit flips when its draw is below its recorded value's rate.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .exact import site_bits
 from .errors import ResourceLimitError
 
 MAX_FULL_MITIGATION_SITES = 12
+_CHUNK_DRAWS = 2**16  # corrupt draws at most this many doubles at a time
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,27 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     L = counts.L
     p01, p10 = model.rates(L)
     rng = np.random.default_rng(seed)
-    sites = np.arange(L)
-    bits = site_bits(counts.indices, L).T.astype(np.uint8)
     # Shots go in order of the site-0-first bit string (site 0 most
     # significant), which fixes which random draw each shot's flips use.
-    order = np.argsort(bits @ (1 << sites[::-1]), kind="stable")
-    # Expand to a shots x L bit array so flips are independent per shot.
-    bits = np.repeat(bits[order], counts.counts[order], axis=0)
-    flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
-    bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
-    indices, out = np.unique(bits @ (1 << sites), return_counts=True)
-    return CountsTable(counts.shots, indices, out, L)
+    order = np.argsort((1 << np.arange(L)[::-1]) @ site_bits(counts.indices, L), kind="stable")
+    indices, kept = counts.indices[order].astype(np.int64), counts.counts[order].astype(np.int64)
+    ends, total, rows = np.cumsum(kept), int(kept.sum()), max(1, _CHUNK_DRAWS // L)
+    rate = np.concatenate([p01, p10])  # rate[site + L * bit]
+    tables = [(indices, kept)]  # a shot with no flip keeps its index
+    for first in range(0, total, rows):
+        draws = rng.random(min(rows, total - first) * L)  # row-major; continues the stream
+        pos = np.flatnonzero(draws < rate.max())  # only these draws can flip a bit
+        shot, site = np.divmod(pos, L)
+        owner = np.searchsorted(ends, first + shot, side="right")
+        flip = draws[pos] < rate[site + L * ((indices[owner] >> site) & 1)]
+        shot, site, owner = shot[flip], site[flip], owner[flip]
+        start = np.flatnonzero(np.diff(shot, prepend=-1))  # each flipped shot's first flip
+        kept -= np.bincount(owner[start], minlength=len(kept))
+        moved = indices[owner[start]] ^ np.add.reduceat(1 << site, start)
+        tables.append(np.unique(moved, return_counts=True))  # reduced before the next chunk
+    out, inverse = np.unique(np.concatenate([i for i, _ in tables]), return_inverse=True)
+    out_counts = np.bincount(inverse, np.concatenate([c for _, c in tables])).astype(np.int64)
+    return CountsTable(counts.shots, out[out_counts > 0], out_counts[out_counts > 0], L)
 
 
 def mitigate_z_vector(counts: CountsTable, model: ReadoutModel) -> np.ndarray:

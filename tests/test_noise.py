@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aahwalk.engine import CountsTable, bitstring_to_index, counts_expectation_z, sample_counts
 from aahwalk.errors import NonInvertibleChannelError, ResourceLimitError
-from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis
+from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis, site_bits
 from aahwalk.experiment import hamiltonian_matrix
 from aahwalk.model import ModelParams
 from aahwalk.noise import (
@@ -25,6 +27,68 @@ def _table(shots, keyed, L):
 def _hist(table):
     """Measured histogram as {basis index: count}."""
     return dict(zip(table.indices.tolist(), table.counts.tolist()))
+
+
+def _corrupt_per_shot(counts, model, seed):
+    """corrupt as a shots x L bit array: the oracle for its bytes."""
+    L = counts.L
+    p01, p10 = model.rates(L)
+    rng = np.random.default_rng(seed)
+    sites = np.arange(L)
+    bits = site_bits(counts.indices, L).T.astype(np.uint8)
+    # Shots go in order of the site-0-first bit string (site 0 most
+    # significant), which fixes which random draw each shot's flips use.
+    order = np.argsort(bits @ (1 << sites[::-1]), kind="stable")
+    # Expand to a shots x L bit array so flips are independent per shot.
+    bits = np.repeat(bits[order], counts.counts[order], axis=0)
+    flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
+    bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
+    indices, out = np.unique(bits @ (1 << sites), return_counts=True)
+    return CountsTable(counts.shots, indices, out, L)
+
+
+def _spread(shots, basis, L, seed):
+    """A CountsTable of `shots` multinomial draws over `basis`, with uneven weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(len(basis))
+    draws = rng.multinomial(shots, weights / weights.sum())
+    return CountsTable(shots, basis[draws > 0], draws[draws > 0], L)
+
+
+@pytest.mark.parametrize("L", [1, 3, 8, 12, 40, 63])
+@pytest.mark.parametrize("rates", ["scalar", "per-qubit", "zero"])
+def test_corrupt_matches_per_shot_oracle(L, rates):
+    # Same table bit for bit, dtypes included, across chunk edges (2**16 draws).
+    model = {"scalar": ReadoutModel(0.05, 0.2), "zero": ReadoutModel(0.0, 0.0),
+             "per-qubit": ReadoutModel(tuple(np.linspace(0.0, 0.45, L)),
+                                       tuple(np.linspace(0.3, 0.01, L)))}[rates]
+    bases = [sector_basis(L, 1)] if L == 63 else [sector_basis(L, 0), sector_basis(L, L)]
+    if L <= 12:
+        bases.append(np.arange(2**L))
+    edge = 2**16 // L
+    for basis in bases:
+        for shots in sorted({1, edge - 1, edge, edge + 1, 70_000}):
+            counts = _spread(shots, basis, L, seed=L + shots)
+            got = corrupt(counts, model, (L, shots))
+            want = _corrupt_per_shot(counts, model, (L, shots))
+            assert got.shots == want.shots and got.L == want.L
+            assert got.indices.dtype == want.indices.dtype and got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.counts, want.counts)
+
+
+@pytest.mark.parametrize("p", [0.03, 0.45])
+def test_corrupt_memory_bounded_per_draw(p):
+    # Draws are held a chunk at a time and each chunk's flips reduced before the next.
+    L, shots = 8, 2**19
+    counts = _spread(shots, np.arange(2**L), L, seed=3)
+    tracemalloc.start()
+    try:
+        corrupt(counts, ReadoutModel(p, p), seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * shots * L
 
 
 def test_rates_broadcast_and_validate():
