@@ -24,7 +24,8 @@ from .exact import (MAX_SECTOR_STATES, StateVector, sector_basis, sector_hamilto
                     spectrum)
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
 from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite, is_number
-from .noise import ReadoutModel, corrupt, mitigate_z
+from .noise import ReadoutModel, mitigate_z, readout_z
+from .noise import corrupt  # noqa: F401  bound for the benchmark's tracer
 from .observables import (SOURCE_EXACT, SOURCE_TROTTER_EXACT, SOURCE_TROTTER_MITIGATED,
                           SOURCE_TROTTER_SAMPLED, DensityProfile, edge_density_nE,
                           edge_probability_P0, participation_entropy, radial_distribution)
@@ -105,15 +106,15 @@ class ExperimentConfig:
             if name not in OUTPUT_NAMES:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
 
-        # The (steps+1) x L <Z> tables (x L for correlations), the shots x L draws of each
-        # step's corrupt and its per-shot arrays stay within the largest U the sector guard admits.
+        # The (steps+1) x L <Z> tables (x L for correlations) and the shots x L readout draws of
+        # a step, made 2**16 at a time, stay within the largest U the sector guard admits.
         limit, width = MAX_SECTOR_STATES**2, L * L if "correlation" in self.outputs else L
         if (int(self.steps) + 1) * width > limit:  # int: a numpy integer would wrap
             raise ResourceLimitError(f"steps: at most {limit // width - 1} at L={L} with these"
                                      f" outputs (a time table over {limit} entries)")
         if int(self.shots) * L > limit:
-            raise ResourceLimitError(f"shots: at most {limit // L} at L={L}"
-                                     f" (a shots x L array over {limit} entries)")
+            raise ResourceLimitError(f"shots: at most {limit // L} at L={L} (a step's shots x L"
+                                     f" draws, made 2**16 at a time, over {limit})")
         if math.comb(L, len(occ)) > MAX_SECTOR_STATES:  # sector_basis's guard, before any run
             raise ResourceLimitError(f"sector dimension C({L}, {len(occ)}) ="
                                      f" {math.comb(L, len(occ))} exceeds {MAX_SECTOR_STATES}")
@@ -198,6 +199,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     times = [s * dt for s in range(config.steps + 1)]
     z = {src: np.empty((len(times), L)) for src in sources}  # row s: <Z_i> at times[s]
     signs = 1 - 2 * site_bits(basis, L)
+    sampled_z = readout_z(config.readout, basis, L) if config.readout else lambda c, _: z_vector(c)
 
     trot = (np.arange(len(basis)) == start).astype(complex)
     rows = max(1, 2**20 // (L * len(basis)))  # steps per block: z_sum's (rows, L, C) product
@@ -215,9 +217,7 @@ def run(config: ExperimentConfig) -> RunRecord:
                 # seed last: numpy splits a seed >= 2**32 into words, which could alias s
                 counts = sample_counts(StateVector(trot, L, basis), config.shots,
                                        (_SAMPLE, s, config.seed))
-                if config.readout is not None:
-                    counts = corrupt(counts, config.readout, (_CORRUPT, s, config.seed))
-                z[SOURCE_TROTTER_SAMPLED][s] = z_vector(counts)
+                z[SOURCE_TROTTER_SAMPLED][s] = sampled_z(counts, (_CORRUPT, s, config.seed))
         z[SOURCE_EXACT][block] = z_sum(np.abs(exact_rows) ** 2, signs)
         z[SOURCE_TROTTER_EXACT][block] = z_sum(np.abs(trot_rows) ** 2, signs)
     if config.mitigation:

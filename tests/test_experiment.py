@@ -363,13 +363,14 @@ def test_sweep_rng_streams_distinct(monkeypatch):
     seeds = []
 
     def recording(fn):
-        def wrapped(table_or_state, arg, seed):
-            seeds.append(seed)
-            return fn(table_or_state, arg, seed)
+        def wrapped(*args):
+            seeds.append(args[-1])  # the seed comes last
+            return fn(*args)
         return wrapped
 
+    per_run = experiment.readout_z  # makes the function that each step's readout calls
     monkeypatch.setattr(experiment, "sample_counts", recording(experiment.sample_counts))
-    monkeypatch.setattr(experiment, "corrupt", recording(experiment.corrupt))
+    monkeypatch.setattr(experiment, "readout_z", lambda *args: recording(per_run(*args)))
     base = ExperimentConfig(
         model=ModelParams(lambda_J=0.5, L=3), initial_occupations=[0],
         t_max=1.0, steps=3, shots=100, readout=ReadoutModel(0.02, 0.02), seed=4)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aahwalk.engine import CountsTable, bitstring_to_index, counts_expectation_z, sample_counts
+from aahwalk.engine import (CountsTable, bitstring_to_index, counts_expectation_z, sample_counts,
+                            z_vector)
 from aahwalk.errors import NonInvertibleChannelError, ResourceLimitError
 from aahwalk.exact import StateVector, exact_evolve, prepare_fock_state, sector_basis, site_bits
 from aahwalk.experiment import hamiltonian_matrix
@@ -14,6 +15,7 @@ from aahwalk.noise import (
     mitigate_counts_full,
     mitigate_expectation_z,
     mitigate_z_vector,
+    readout_z,
 )
 
 
@@ -85,6 +87,48 @@ def test_corrupt_memory_bounded_per_draw(p):
     tracemalloc.start()
     try:
         corrupt(counts, ReadoutModel(p, p), seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * shots * L
+
+
+_GRID_MODELS = {"scalar": lambda L: ReadoutModel(0.05, 0.2),
+                "uniform": lambda L: ReadoutModel(0.03, 0.03),  # no draw needs its site's rate
+                "zero": lambda L: ReadoutModel(0.0, 0.0),
+                "per-qubit": lambda L: ReadoutModel(tuple(np.linspace(0.0, 0.45, L)),
+                                                    tuple(np.linspace(0.3, 0.01, L)))}
+
+
+@pytest.mark.parametrize("L", [1, 3, 8, 12, 40, 63])
+@pytest.mark.parametrize("rates", list(_GRID_MODELS))
+def test_readout_z_matches_corrupted_table(L, rates):
+    # z_vector of corrupt's table bit for bit, on test_corrupt_matches_per_shot_oracle's grid;
+    # one per-run function serves every table over its basis.
+    model = _GRID_MODELS[rates](L)
+    bases = [sector_basis(L, 1)] if L == 63 else [sector_basis(L, 0), sector_basis(L, L)]
+    if L <= 12:
+        bases.append(np.arange(2**L))
+    edge = 2**16 // L
+    for basis in bases:
+        z = readout_z(model, basis, L)
+        for shots in sorted({1, edge - 1, edge, edge + 1, 70_000}):
+            counts = _spread(shots, basis, L, seed=L + shots)
+            assert np.array_equal(z(counts, (L, shots)), z_vector(corrupt(counts, model, (L, shots))))
+            if rates == "uniform" and L <= 12:  # the grid of corrupt's oracle test has no such rate
+                got, want = corrupt(counts, model, L), _corrupt_per_shot(counts, model, L)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.counts, want.counts)
+
+
+@pytest.mark.parametrize("p", [0.03, 0.45])
+def test_readout_z_memory_bounded_per_draw(p):
+    L, shots = 8, 2**19
+    basis = np.arange(2**L)
+    counts = _spread(shots, basis, L, seed=3)
+    tracemalloc.start()
+    try:
+        readout_z(ReadoutModel(p, p), basis, L)(counts, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
