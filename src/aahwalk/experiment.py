@@ -8,7 +8,7 @@ import math
 import os
 import time as _time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, islice, repeat
 from numbers import Integral
 
 import numpy as np
@@ -34,7 +34,6 @@ from .observables import (  # noqa: F401  bound for the benchmark's tracer
 from .pauli import build_fermionic_hamiltonian_matrix, build_spin_hamiltonian, to_matrix
 
 OUTPUT_NAMES = ("density", "P0", "R2n", "nE", "S2", "correlation")
-SCALAR_NAMES = ("P0", "R2n", "nE", "S2")
 _SAMPLE, _CORRUPT = 0, 1  # RNG stream purposes
 DEFAULT_OUTPUTS = ["density", "P0", "R2n", "nE", "S2"]
 
@@ -178,12 +177,10 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Full pipeline in the initial state's particle-number sector: prepare,
-    evolve (exact and Trotter circuit), measure each source into a (steps+1, L)
-    <Z> table, then derive every observable from the tables."""
+    """Full pipeline in the initial state's particle-number sector: prepare, propagate a block
+    of steps at a time into one (steps+1, L) <Z> table per source, then derive every output."""
     config.validate()
-    params, L = config.model, config.model.L
-    n_particles = len(config.initial_occupations)
+    params, L, n_particles = config.model, config.model.L, len(config.initial_occupations)
     basis = sector_basis(L, n_particles)
     with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
         H = sector_hamiltonian(params, basis)
@@ -191,52 +188,48 @@ def run(config: ExperimentConfig) -> RunRecord:
             raise ConfigError(f"model: energies times t_max={config.t_max} overflow a float")
     decomp = spectrum(H)
     start = np.searchsorted(basis, sum(1 << s for s in config.initial_occupations))
-    c0 = decomp.eigenvectors[start]  # U^dag e_start; the sector block is real
+    U, c0 = decomp.eigenvectors, decomp.eigenvectors[start]  # U^dag e_start; the block is real
     dt = float(config.t_max / config.steps)  # a float also for numpy scalars, as CSV prints it
     step = compile_sector_step(trotter_circuit(params, dt, 1, config.scheme), basis)
 
-    sources = [SOURCE_EXACT, SOURCE_TROTTER_EXACT] + [SOURCE_TROTTER_SAMPLED] * bool(config.shots)
     times = [s * dt for s in range(config.steps + 1)]
-    z = {src: np.empty((len(times), L)) for src in sources}  # row s: <Z_i> at times[s]
-    signs = 1 - 2 * site_bits(basis, L)
+    trotter = accumulate(repeat(step, config.steps), lambda v, st: apply_sector_step(st, v),
+                         initial=(np.arange(len(basis)) == start).astype(complex))
+    propagators = {  # each maps a block of times to its sector amplitudes, one row per time
+        # two real products per row: a complex one would copy U to complex every row
+        SOURCE_EXACT: lambda ts: [U @ v.real + 1j * (U @ v.imag) for v in
+                                  np.exp(-1j * decomp.eigenvalues * np.array(ts)[:, None]) * c0],
+        SOURCE_TROTTER_EXACT: lambda ts: list(islice(trotter, len(ts)))}  # carries its state
     sampled_z = readout_z(config.readout, basis, L) if config.readout else lambda c, _: z_vector(c)
-
-    trot = (np.arange(len(basis)) == start).astype(complex)
-    rows = max(1, 2**20 // (L * len(basis)))  # steps per block: z_sum's (rows, L, C) product
-    for first in range(0, len(times), rows):
+    z = {src: np.empty((len(times), L))  # row s: <Z_i> at times[s]
+         for src in [*propagators] + [SOURCE_TROTTER_SAMPLED] * bool(config.shots)}
+    signs, rows = 1 - 2 * site_bits(basis, L), max(1, 2**20 // (L * len(basis)))
+    for first in range(0, len(times), rows):  # z_sum's (rows, L, C) product: about 2**20
         block = slice(first, first + rows)
-        exact_rows, trot_rows = [], []
-        phases = np.exp(-1j * decomp.eigenvalues * np.array(times[block])[:, None]) * c0
-        for s, v in enumerate(phases, first):
-            if s > 0:
-                trot = apply_sector_step(step, trot)
-            trot_rows.append(trot)
-            # two real products: a complex one would copy U to complex every step
-            exact_rows.append(decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag))
-            if config.shots > 0:
-                # seed last: numpy splits a seed >= 2**32 into words, which could alias s
-                counts = sample_counts(StateVector(trot, L, basis), config.shots,
-                                       (_SAMPLE, s, config.seed))
-                z[SOURCE_TROTTER_SAMPLED][s] = sampled_z(counts, (_CORRUPT, s, config.seed))
-        z[SOURCE_EXACT][block] = z_sum(np.abs(exact_rows) ** 2, signs)
-        z[SOURCE_TROTTER_EXACT][block] = z_sum(np.abs(trot_rows) ** 2, signs)
+        amps = {src: propagate(times[block]) for src, propagate in propagators.items()}
+        for src, a in amps.items():
+            z[src][block] = z_sum(np.abs(a) ** 2, signs)
+        if config.shots > 0:  # seed last: numpy splits a seed >= 2**32 into words (aliasing s)
+            z[SOURCE_TROTTER_SAMPLED][block] = [sampled_z(
+                sample_counts(StateVector(v, L, basis), config.shots, (_SAMPLE, s, config.seed)),
+                (_CORRUPT, s, config.seed))
+                for s, v in enumerate(amps[SOURCE_TROTTER_EXACT], first)]
     if config.mitigation:
-        sources.append(SOURCE_TROTTER_MITIGATED)
         z[SOURCE_TROTTER_MITIGATED] = mitigate_z(z[SOURCE_TROTTER_SAMPLED], config.readout)
-
-    density = {src: (1.0 - z[src]) / 2.0 for src in sources}
-    correlations = {src: z[src][:, :, None] * z[src][:, None, :]  # <Z_i><Z_j> at every time
-                    if "correlation" in config.outputs else np.empty((0, L, L)) for src in sources}
 
     # built per run, from the module's names, so that the benchmark's tracer sees every call
     scalars = {"P0": edge_probability_P0, "R2n": radial_distribution, "nE": edge_density_nE,
                "S2": lambda profile: participation_entropy(profile, 2, n_particles)}
-    profiles = [DensityProfile(times, density[src], src) for src in sources]
-    try:
-        series = {p.source: {name: scalars[name](p) for name in SCALAR_NAMES
-                             if name in config.outputs} for p in profiles}
-    except ValueError as exc:  # S2 of a measured profile in which no shot read a particle
-        raise ConfigError(f"outputs: S2: {exc}") from exc
+    density, correlations, series = {}, {}, {}
+    for src, zs in z.items():  # one pass per source
+        profile = DensityProfile(times, (1.0 - zs) / 2.0, src)
+        density[src] = profile.values
+        correlations[src] = (zs[:, :, None] * zs[:, None, :] if "correlation" in config.outputs
+                             else np.empty((0, L, L)))  # <Z_i><Z_j> at every time
+        try:
+            series[src] = {k: f(profile) for k, f in scalars.items() if k in config.outputs}
+        except ValueError as exc:  # S2 of a measured profile in which no shot read a particle
+            raise ConfigError(f"outputs: S2: {exc}") from exc
 
     metadata = {"seed": config.seed, "scheme": config.scheme, "flavor": params.flavor,
                 "version": __version__, "rng": RNG_ALGORITHM, "entropy_log_base": "e",
@@ -294,7 +287,7 @@ def _csv_files(rec: RunRecord):
     if any(rec.series.values()):
         yield ".scalars.csv", chain(["step,time,name,value,source\n"], (
             f"{step},{t},{name},{v!r},{src}\n" for src in sorted(rec.series)
-            for name, values in rec.series[src].items()  # in SCALAR_NAMES order
+            for name, values in rec.series[src].items()  # in the order run() computes them
             for step, (t, v) in enumerate(zip(times, values))))
     if any(len(tab) for tab in rec.correlations.values()):
         yield ".correlation.csv", chain(["time,i,j,value,source\n"], (

@@ -56,33 +56,36 @@ def _flips(rows: np.ndarray, kept: np.ndarray, rate: np.ndarray, seed):
         yield shot, site, row
 
 
+def _draw_order(indices: np.ndarray, L: int) -> np.ndarray:
+    """The draw contract's shot order: stable, by each index's site-0-first bit string."""
+    return np.argsort((1 << np.arange(L)[::-1]) @ site_bits(indices, L), kind="stable")
+
+
 def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     """Flip each recorded bit independently; shot total is preserved."""
-    L = counts.L
-    order = np.argsort((1 << np.arange(L)[::-1]) @ site_bits(counts.indices, L), kind="stable")
+    order = _draw_order(counts.indices, counts.L)
     rows, kept = counts.indices[order].astype(np.int64), counts.counts[order].astype(np.int64)
     tables = [(rows, kept)]  # a shot with no flip keeps its index
-    for shot, site, row in _flips(rows, kept.copy(), np.concatenate(model.rates(L)), seed):
+    for shot, site, row in _flips(rows, kept.copy(), np.concatenate(model.rates(counts.L)), seed):
         start = np.flatnonzero(np.diff(shot, prepend=-1))  # each flipped shot's first flip
         kept -= np.bincount(row[start], minlength=len(kept))
         moved = rows[row[start]] ^ np.add.reduceat(1 << site, start)
         tables.append(np.unique(moved, return_counts=True))  # reduced before the next chunk
     out, inverse = np.unique(np.concatenate([i for i, _ in tables]), return_inverse=True)
     out_counts = np.bincount(inverse, np.concatenate([c for _, c in tables])).astype(np.int64)
-    return CountsTable(counts.shots, out[out_counts > 0], out_counts[out_counts > 0], L)
+    return CountsTable(counts.shots, out[out_counts > 0], out_counts[out_counts > 0], counts.L)
 
 
 def readout_z(model: ReadoutModel, basis: np.ndarray, L: int):
     """z(counts, seed) = z_vector(corrupt(counts, model, seed)) for counts over ascending basis."""
-    order = np.argsort((1 << np.arange(L)[::-1]) @ site_bits(basis, L), kind="stable")  # as corrupt
-    rate, rows = np.concatenate(model.rates(L)), basis[order]
-    signs = 1 - 2 * site_bits(rows, L)
+    order, rate = _draw_order(basis, L), np.concatenate(model.rates(L))
+    rows, signs = basis[order], 1 - 2 * site_bits(basis, L)
 
     def z(counts: CountsTable, seed) -> np.ndarray:
         kept = np.zeros(len(basis), np.int64)  # a zero-count row draws nothing
         kept[np.searchsorted(basis, counts.indices)] = counts.counts
         n = np.zeros(2 * L, np.int64)  # n[site + L * bit]: flips, each moving a sum by 4 * bit - 2
-        for _, site, row in _flips(rows, kept := kept[order], rate, seed):
+        for _, site, row in _flips(rows, kept[order], rate, seed):
             n += np.bincount(site + L * ((rows[row] >> site) & 1), minlength=2 * L)
         return (z_sum(kept, signs) - 2 * (n[:L] - n[L:])) / counts.shots
     return z

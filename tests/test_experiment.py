@@ -128,16 +128,19 @@ def test_run_exact_is_sector_evolution(monkeypatch, flavor, occ):
         assert np.abs(prof - want).max() < 1e-12
 
 
-# (L, occupied sites, steps); C(5, 3) = 10 < 12 steps: more table rows than sector states
-@pytest.mark.parametrize("L, occ, steps", [(6, [0, 3], 4), (5, [0, 2, 3], 12)])
+# (L, occupied sites, steps, readout on); C(5, 3) = 10 < 12 steps: more table rows than
+# sector states; without readout the sampled rows are the raw shots' <Z>
+@pytest.mark.parametrize("L, occ, steps, with_readout",
+                         [(6, [0, 3], 4, True), (5, [0, 2, 3], 12, True), (6, [0, 3], 4, False)],
+                         ids=["6-occ0-4", "5-occ1-12", "6-occ0-4-no-readout"])
 @pytest.mark.parametrize("flavor", FLAVORS)
-def test_run_matches_per_step_oracle(flavor, L, occ, steps):
+def test_run_matches_per_step_oracle(flavor, L, occ, steps, with_readout):
     """run() measures into time tables; the same record follows bit for bit from the
     per-state functions applied one state and one step at a time."""
     p = ModelParams(lambda_J=0.8, phi_J=0.3, V=1.5, L=L, flavor=flavor)
-    readout = ReadoutModel(tuple(0.01 * (i + 1) for i in range(L)), 0.04)
+    readout = ReadoutModel(tuple(0.01 * (i + 1) for i in range(L)), 0.04) if with_readout else None
     cfg = ExperimentConfig(model=p, initial_occupations=occ, t_max=2.0, steps=steps,
-                           scheme="strang-2", shots=300, readout=readout, mitigation=True,
+                           scheme="strang-2", shots=300, readout=readout, mitigation=with_readout,
                            seed=12, outputs=list(OUTPUT_NAMES))
     rec = run(cfg)
     d = rec.to_dict()
@@ -155,11 +158,13 @@ def test_run_matches_per_step_oracle(flavor, L, occ, steps):
         amps = decomp.eigenvectors @ v.real + 1j * (decomp.eigenvectors @ v.imag)
         counts = sample_counts(StateVector(trot, L, basis), cfg.shots,
                                (experiment._SAMPLE, s, cfg.seed))
-        counts = corrupt(counts, readout, (experiment._CORRUPT, s, cfg.seed))
+        if readout is not None:
+            counts = corrupt(counts, readout, (experiment._CORRUPT, s, cfg.seed))
         states = {"exact": (StateVector(amps, L, basis), None),
                   "trotter-exact": (StateVector(trot, L, basis), None),
-                  "trotter-sampled": (counts, None),
-                  "trotter-sampled-mitigated": (counts, readout)}
+                  "trotter-sampled": (counts, None)}
+        if readout is not None:
+            states["trotter-sampled-mitigated"] = (counts, readout)
         assert set(rec.profiles) == set(rec.correlations) == set(rec.series) == set(states)
         for src, (state, model) in states.items():
             prof = density_profile(state, t, src, model=model)
@@ -196,6 +201,29 @@ def test_run_blocks_match_per_step_states():
         for src, state in (("exact", amps), ("trotter-exact", trot)):
             want = density_profile(StateVector(state, p.L, basis), t, src).values
             assert np.array_equal(rec.profiles[src][s], want)
+
+
+def test_run_blocks_match_per_step_samples():
+    """The sampled source over more than one block: each step's row is the <Z> of that
+    step's corrupted shots alone, drawn with the run's seeds, bit for bit."""
+    p = ModelParams(lambda_J=0.9, V=2.0, L=12, flavor="exact-jw")
+    readout = ReadoutModel(tuple(0.01 * (i + 1) for i in range(p.L)), 0.04)
+    cfg = ExperimentConfig(model=p, initial_occupations=[0, 5, 11], t_max=20.0, steps=400,
+                           scheme="strang-2", shots=64, readout=readout, seed=9,
+                           outputs=["density"])
+    basis = sector_basis(p.L, 3)
+    assert 2**20 // (p.L * len(basis)) < cfg.steps + 1  # rows of one block: 397 of 401
+    rec = run(cfg)
+    step = compile_sector_step(trotter_circuit(p, cfg.t_max / cfg.steps, 1, cfg.scheme), basis)
+    trot = (np.arange(len(basis)) == np.searchsorted(basis, 1 | 1 << 5 | 1 << 11)).astype(complex)
+    for s, t in enumerate(rec.times):
+        if s > 0:
+            trot = apply_sector_step(step, trot)
+        counts = sample_counts(StateVector(trot, p.L, basis), cfg.shots,
+                               (experiment._SAMPLE, s, cfg.seed))
+        counts = corrupt(counts, readout, (experiment._CORRUPT, s, cfg.seed))
+        want = density_profile(counts, t, "trotter-sampled").values
+        assert np.array_equal(rec.profiles["trotter-sampled"][s], want)
 
 
 def test_run_size_guard_bounds(monkeypatch):
