@@ -149,13 +149,15 @@ def expectation_z(state: StateVector | CountsTable, site: int) -> float:
 counts_expectation_z = expectation_z  # the name callers use for a counts table
 
 
-def sample_counts(psi: StateVector, shots: int, seed) -> CountsTable:
-    """Multinomial shot sampling from |amplitudes|^2; deterministic per seed."""
+def sample_draws(amplitudes: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial shot counts from |amplitudes|^2, in basis order; deterministic per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(psi.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    nonzero = np.flatnonzero(draws)
-    return CountsTable(shots, psi.indices[nonzero], draws[nonzero], psi.L)
+    probs = np.abs(amplitudes) ** 2
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+
+
+def sample_counts(psi: StateVector, shots: int, seed) -> CountsTable:
+    """The nonzero entries of sample_draws, as a table."""
+    draws = sample_draws(psi.amplitudes, shots, seed)
+    return CountsTable(shots, psi.indices[draws > 0], draws[draws > 0], psi.L)

@@ -16,12 +16,10 @@ import numpy as np
 from . import __version__
 from .circuit import SCHEMES, trotter_circuit
 from .circuit import lower  # noqa: F401  bound for the benchmark's tracer (perfbench/spans.py)
-from .engine import (RNG_ALGORITHM, apply_sector_step, compile_sector_step, sample_counts,
-                     z_sum, z_vector)
-from .engine import apply_circuit  # noqa: F401  bound for the benchmark's tracer
+from .engine import RNG_ALGORITHM, apply_sector_step, compile_sector_step, sample_draws, z_sum
+from .engine import apply_circuit, sample_counts  # noqa: F401  bound for the benchmark's tracer
 from .errors import ConfigError, ResourceLimitError
-from .exact import (MAX_SECTOR_STATES, StateVector, sector_basis, sector_hamiltonian, site_bits,
-                    spectrum)
+from .exact import MAX_SECTOR_STATES, sector_basis, sector_hamiltonian, site_bits, spectrum
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
 from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite, is_number
 from .noise import ReadoutModel, mitigate_z, readout_z
@@ -200,7 +198,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         SOURCE_EXACT: lambda ts: [U @ v.real + 1j * (U @ v.imag) for v in
                                   np.exp(-1j * decomp.eigenvalues * np.array(ts)[:, None]) * c0],
         SOURCE_TROTTER_EXACT: lambda ts: list(islice(trotter, len(ts)))}  # carries its state
-    sampled_z = readout_z(config.readout, basis, L) if config.readout else lambda c, _: z_vector(c)
+    sampled_z = readout_z(config.readout, basis, L)
     z = {src: np.empty((len(times), L))  # row s: <Z_i> at times[s]
          for src in [*propagators] + [SOURCE_TROTTER_SAMPLED] * bool(config.shots)}
     signs, rows = 1 - 2 * site_bits(basis, L), max(1, 2**20 // (L * len(basis)))
@@ -210,9 +208,8 @@ def run(config: ExperimentConfig) -> RunRecord:
         for src, a in amps.items():
             z[src][block] = z_sum(np.abs(a) ** 2, signs)
         if config.shots > 0:  # seed last: numpy splits a seed >= 2**32 into words (aliasing s)
-            z[SOURCE_TROTTER_SAMPLED][block] = [sampled_z(
-                sample_counts(StateVector(v, L, basis), config.shots, (_SAMPLE, s, config.seed)),
-                (_CORRUPT, s, config.seed))
+            z[SOURCE_TROTTER_SAMPLED][block] = [sampled_z(sample_draws(
+                v, config.shots, (_SAMPLE, s, config.seed)), (_CORRUPT, s, config.seed))
                 for s, v in enumerate(amps[SOURCE_TROTTER_EXACT], first)]
     if config.mitigation:
         z[SOURCE_TROTTER_MITIGATED] = mitigate_z(z[SOURCE_TROTTER_SAMPLED], config.readout)

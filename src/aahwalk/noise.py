@@ -7,8 +7,8 @@ column-stochastic and invertible whenever p01 + p10 < 1.
 
 One flip finder implements the draw contract: one `np.random.default_rng(seed)`; one
 `random()` double per (shot, site), row-major, shots in the stable order of their site-0-first
-bit string; a bit flips when its draw is below its recorded value's rate. `corrupt` reduces the
-flips to a table and `readout_z` to its <Z> row, so both keep sampled bytes stable.
+bit string; a bit flips when its draw is below its recorded value's rate; zero rates draw nothing.
+`corrupt` reduces the flips to a table and `readout_z` basis-order counts to their <Z> row.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class ReadoutModel:
 
 def _flips(rows: np.ndarray, kept: np.ndarray, rate: np.ndarray, seed):
     """Each chunk's flips of kept[r] shots of rows[r] in draw order, as (shot, site, row)."""
+    if not rate.any():  # no bit can flip: draw nothing
+        return
     L, rng = len(rate) // 2, np.random.default_rng(seed)
     ends, total, per_chunk = np.cumsum(kept), int(kept.sum()), max(1, _CHUNK_DRAWS // L)
     for first in range(0, total, per_chunk):
@@ -76,18 +78,17 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     return CountsTable(counts.shots, out[out_counts > 0], out_counts[out_counts > 0], counts.L)
 
 
-def readout_z(model: ReadoutModel, basis: np.ndarray, L: int):
-    """z(counts, seed) = z_vector(corrupt(counts, model, seed)) for counts over ascending basis."""
-    order, rate = _draw_order(basis, L), np.concatenate(model.rates(L))
+def readout_z(model: ReadoutModel | None, basis: np.ndarray, L: int):
+    """z(kept, seed): the <Z> row of kept[k] shots of ascending basis[k] read out through model
+    (None: zero rates); bit for bit z_vector(corrupt(...)) of the table of kept's nonzero rows."""
+    order, rate = _draw_order(basis, L), np.concatenate((model or ReadoutModel(0, 0)).rates(L))
     rows, signs = basis[order], 1 - 2 * site_bits(basis, L)
 
-    def z(counts: CountsTable, seed) -> np.ndarray:
-        kept = np.zeros(len(basis), np.int64)  # a zero-count row draws nothing
-        kept[np.searchsorted(basis, counts.indices)] = counts.counts
+    def z(kept: np.ndarray, seed) -> np.ndarray:
         n = np.zeros(2 * L, np.int64)  # n[site + L * bit]: flips, each moving a sum by 4 * bit - 2
-        for _, site, row in _flips(rows, kept[order], rate, seed):
+        for _, site, row in _flips(rows, kept[order], rate, seed):  # a zero-count row draws nothing
             n += np.bincount(site + L * ((rows[row] >> site) & 1), minlength=2 * L)
-        return (z_sum(kept, signs) - 2 * (n[:L] - n[L:])) / counts.shots
+        return (z_sum(kept, signs) - 2 * (n[:L] - n[L:])) / kept.sum()
     return z
 
 

@@ -226,6 +226,26 @@ def test_run_blocks_match_per_step_samples():
         assert np.array_equal(rec.profiles["trotter-sampled"][s], want)
 
 
+def test_run_zero_rates_match_no_readout(monkeypatch):
+    """A readout model of zero rates flips nothing and draws nothing: the sampled table is the
+    one of a run without readout, bit for bit, from the same generators (one per step)."""
+    made, default_rng = [], np.random.default_rng
+
+    def counting(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    base = ExperimentConfig(model=ModelParams(lambda_J=0.9, V=2.0, L=8),
+                            initial_occupations=[3, 4], t_max=2.0, steps=20, shots=512, seed=6)
+    tables = []
+    for readout in (None, ReadoutModel(0.0, 0.0)):
+        made.clear()
+        tables.append(run(dataclasses.replace(base, readout=readout)).profiles["trotter-sampled"])
+        assert made == [(experiment._SAMPLE, s, base.seed) for s in range(base.steps + 1)]
+    assert np.array_equal(*tables)
+
+
 def test_run_size_guard_bounds(monkeypatch):
     """Steps and shots are bounded so that no array of a run exceeds
     MAX_SECTOR_STATES**2 entries: the largest admitted values pass the guard
@@ -397,7 +417,7 @@ def test_sweep_rng_streams_distinct(monkeypatch):
         return wrapped
 
     per_run = experiment.readout_z  # makes the function that each step's readout calls
-    monkeypatch.setattr(experiment, "sample_counts", recording(experiment.sample_counts))
+    monkeypatch.setattr(experiment, "sample_draws", recording(experiment.sample_draws))
     monkeypatch.setattr(experiment, "readout_z", lambda *args: recording(per_run(*args)))
     base = ExperimentConfig(
         model=ModelParams(lambda_J=0.5, L=3), initial_occupations=[0],

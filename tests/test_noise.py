@@ -49,6 +49,13 @@ def _corrupt_per_shot(counts, model, seed):
     return CountsTable(counts.shots, indices, out, L)
 
 
+def _kept(counts, basis):
+    """A table's counts as the basis-order count vector that readout_z's function takes."""
+    kept = np.zeros(len(basis), np.int64)
+    kept[np.searchsorted(basis, counts.indices)] = counts.counts
+    return kept
+
+
 def _spread(shots, basis, L, seed):
     """A CountsTable of `shots` multinomial draws over `basis`, with uneven weights."""
     rng = np.random.default_rng(seed)
@@ -97,7 +104,8 @@ _GRID_MODELS = {"scalar": lambda L: ReadoutModel(0.05, 0.2),
                 "uniform": lambda L: ReadoutModel(0.03, 0.03),  # no draw needs its site's rate
                 "zero": lambda L: ReadoutModel(0.0, 0.0),
                 "per-qubit": lambda L: ReadoutModel(tuple(np.linspace(0.0, 0.45, L)),
-                                                    tuple(np.linspace(0.3, 0.01, L)))}
+                                                    tuple(np.linspace(0.3, 0.01, L))),
+                "none": lambda L: None}  # no readout: the table's own <Z>
 
 
 @pytest.mark.parametrize("L", [1, 3, 8, 12, 40, 63])
@@ -114,7 +122,8 @@ def test_readout_z_matches_corrupted_table(L, rates):
         z = readout_z(model, basis, L)
         for shots in sorted({1, edge - 1, edge, edge + 1, 70_000}):
             counts = _spread(shots, basis, L, seed=L + shots)
-            assert np.array_equal(z(counts, (L, shots)), z_vector(corrupt(counts, model, (L, shots))))
+            want = z_vector(counts if model is None else corrupt(counts, model, (L, shots)))
+            assert np.array_equal(z(_kept(counts, basis), (L, shots)), want)
             if rates == "uniform" and L <= 12:  # the grid of corrupt's oracle test has no such rate
                 got, want = corrupt(counts, model, L), _corrupt_per_shot(counts, model, L)
                 assert np.array_equal(got.indices, want.indices)
@@ -125,14 +134,30 @@ def test_readout_z_matches_corrupted_table(L, rates):
 def test_readout_z_memory_bounded_per_draw(p):
     L, shots = 8, 2**19
     basis = np.arange(2**L)
-    counts = _spread(shots, basis, L, seed=3)
+    kept = _kept(_spread(shots, basis, L, seed=3), basis)
     tracemalloc.start()
     try:
-        readout_z(ReadoutModel(p, p), basis, L)(counts, 4)
+        readout_z(ReadoutModel(p, p), basis, L)(kept, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * shots * L
+
+
+def test_zero_rates_draw_nothing(monkeypatch):
+    # No bit can flip, so no generator is made: corrupt returns the table it was given.
+    def no_rng(seed):
+        raise AssertionError("a generator was made at zero rates")
+
+    L = 8
+    counts = _spread(5000, np.arange(2**L), L, seed=1)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    out = corrupt(counts, ReadoutModel(0.0, 0.0), seed=2)
+    assert out.shots == counts.shots and out.L == L
+    assert np.array_equal(out.indices, counts.indices)
+    assert np.array_equal(out.counts, counts.counts)
+    assert np.array_equal(readout_z(ReadoutModel(0.0, 0.0), np.arange(2**L), L)(
+        _kept(counts, np.arange(2**L)), 2), z_vector(counts))
 
 
 def test_rates_broadcast_and_validate():

@@ -1,6 +1,7 @@
 """The package's runtime dependencies: the standard library and numpy only. scipy,
 hypothesis and pytest are test-only. Imports kept only for the benchmark's tracer name
-a call that the tracer wraps, and every public name of the package has a reader."""
+a call that the tracer wraps, every other import is read, and every public name of the
+package has a reader."""
 
 import ast
 import pathlib
@@ -102,3 +103,29 @@ def test_public_names_are_read():
                     read.add(name)
     assert "CountsTable" in public and "run" in public
     assert {name: file for name, file in public.items() if name not in read} == {}
+
+
+def test_src_imports_are_read():
+    """Each name that a src/aahwalk module imports is read in that module, unless the import
+    is kept for the benchmark's tracer (``# noqa: F401 ... tracer``); ``__init__.py``, which
+    re-exports, and ``from __future__`` imports are exempt. No linter runs, so this check
+    keeps a leftover import from staying unnoticed."""
+    unread = []
+    for path in sorted(pathlib.Path(aahwalk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            text = " ".join(lines[node.lineno - 1:node.end_lineno])
+            future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            if future or ("noqa: F401" in text and "tracer" in text):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}: {name}")
+    assert unread == []
