@@ -1,4 +1,8 @@
-"""Gate circuits: Trotter compilation, two-qubit block lowering, QASM export.
+"""The gate IR: gates and circuits, two-qubit block lowering, Trotter compilation,
+QASM export.
+
+This module says which gates a circuit holds, not what they do: the gate matrices,
+circuit_unitary and every kernel live in engine, so nothing here needs numpy.
 
 The two-qubit block TBLOCK(alpha, beta, gamma) stands for
 exp[-i(alpha XX + beta YY + gamma ZZ)] on a pair of neighboring sites.
@@ -12,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import LoweringRequiredError, ResourceLimitError
-from .exact import StateVector
+from .errors import LoweringRequiredError
 from .model import FLAVOR_EXACT_JW, ModelParams, bond_coefficient
 
 KIND_X = "X"
@@ -29,8 +30,6 @@ SCHEME_SEQUENTIAL = "sequential"
 SCHEME_EVEN_ODD = "even-odd-1"
 SCHEME_STRANG = "strang-2"
 SCHEMES = (SCHEME_SEQUENTIAL, SCHEME_EVEN_ODD, SCHEME_STRANG)
-
-MAX_UNITARY_SITES = 6
 
 
 @dataclass(frozen=True)
@@ -142,36 +141,6 @@ def trotter_circuit(params: ModelParams, t: float, n: int,
             for g in _bond_gates(params, b, step_dt):
                 c.append(g)
     return c
-
-
-_RY = lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
-                          [math.sin(t / 2), math.cos(t / 2)]], dtype=complex)
-_RZ = lambda t: np.array([[np.exp(-1j * t / 2), 0],
-                          [0, np.exp(1j * t / 2)]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def gate_matrix_1q(gate: Gate) -> np.ndarray:
-    if gate.kind == KIND_X:
-        return _X
-    if gate.kind == KIND_RY:
-        return _RY(gate.angles[0])
-    if gate.kind == KIND_RZ:
-        return _RZ(gate.angles[0])
-    raise ValueError(f"not a single-qubit primitive: {gate.kind}")
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit (application order), L <= 6 only.
-
-    Applies the statevector engine's kernels to every basis column at once.
-    """
-    from .engine import apply_circuit  # engine imports this module
-
-    if circuit.L > MAX_UNITARY_SITES:
-        raise ResourceLimitError(f"circuit_unitary limited to L <= {MAX_UNITARY_SITES}")
-    c = circuit if circuit.is_lowered() else lower(circuit)
-    return apply_circuit(StateVector(np.eye(2**c.L, dtype=complex), c.L), c).amplitudes
 
 
 def export_qasm(circuit: Circuit) -> str:

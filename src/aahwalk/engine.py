@@ -1,4 +1,5 @@
-"""Statevector kernels: gate application, sector Trotter step, the <Z> vector, sampling.
+"""What each gate of circuit's IR does: gate matrices, 2^L kernels, circuit_unitary, the
+sector Trotter step (each distinct gate's cached action), the <Z> vector, sampling.
 
 Measured outcomes are integer basis indices (bit i = site i), with no JSON rendering.
 Bit strings appear only in index_to_bitstring and bitstring_to_index, site-0-first:
@@ -8,16 +9,18 @@ character k is the state of site k, so |00100> (site 2 occupied, index 4) is "00
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, KIND_CNOT, circuit_unitary, gate_matrix_1q
-from .errors import LoweringRequiredError
+from .circuit import Circuit, Gate, KIND_CNOT, KIND_RY, KIND_RZ, KIND_X, lower
+from .errors import LoweringRequiredError, ResourceLimitError
 from .exact import StateVector, site_bits
 
 RNG_ALGORITHM = "numpy-default-pcg64"
 SECTOR_LEAK_TOL = 1e-12
+MAX_UNITARY_SITES = 6
 
 
 @dataclass
@@ -36,6 +39,23 @@ def index_to_bitstring(index: int, L: int) -> str:
 
 def bitstring_to_index(key: str) -> int:
     return sum(1 << i for i, c in enumerate(key) if c == "1")
+
+
+_RY = lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
+                          [math.sin(t / 2), math.cos(t / 2)]], dtype=complex)
+_RZ = lambda t: np.array([[np.exp(-1j * t / 2), 0],
+                          [0, np.exp(1j * t / 2)]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def gate_matrix_1q(gate: Gate) -> np.ndarray:
+    if gate.kind == KIND_X:
+        return _X
+    if gate.kind == KIND_RY:
+        return _RY(gate.angles[0])
+    if gate.kind == KIND_RZ:
+        return _RZ(gate.angles[0])
+    raise ValueError(f"not a single-qubit primitive: {gate.kind}")
 
 
 # The kernels index axis 0, so on a 2-D array they act on every column.
@@ -77,51 +97,60 @@ def apply_circuit(psi: StateVector, circuit: Circuit) -> StateVector:
     return out
 
 
-SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Dense unitary of a circuit (application order), L <= 6 only: the kernels above
+    applied to every basis column at once."""
+    if circuit.L > MAX_UNITARY_SITES:
+        raise ResourceLimitError(f"circuit_unitary limited to L <= {MAX_UNITARY_SITES}")
+    c = circuit if circuit.is_lowered() else lower(circuit)
+    return apply_circuit(StateVector(np.eye(2**c.L, dtype=complex), c.L), c).amplitudes
+
+
+SectorStep = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def compile_sector_step(circuit: Circuit, basis: np.ndarray) -> SectorStep:
     """The gates of an unlowered circuit as (diag, off, partner) entries on the
-    sector `basis`: new = diag*old + off*old[partner], or diag*old where partner
-    is None.  A diagonal gate D (such as Rz) folds into the entry before it, as
-    (D*diag, D*off, partner).  A gate's unitary is circuit_unitary of the gate
-    moved to qubits 0..k-1 (the lowered gate run through the engine kernels);
-    within one particle number it may only keep a state or flip all its qubits
-    (01 <-> 10)."""
+    sector `basis`: new = diag*old + off*old[partner].  A diagonal gate D (such as
+    Rz) folds into the entry before it, as (D*diag, D*off, partner), or is an entry
+    with an all-zero off if there is none."""
     step: SectorStep = []
     for g in circuit.gates:
-        k = len(g.qubits)
-        u = _local_unitary(g.kind, k, g.angles)
-        weight = np.array([bin(v).count("1") for v in range(2**k)])
-        # flipping every qubit of local state l gives 2**k - 1 - l: u's anti-diagonal
-        off = np.where(weight == weight[::-1], u[:, ::-1].diagonal(), 0)
-        if np.abs(u - np.diag(u.diagonal()) - np.diag(off)[:, ::-1]).max() > SECTOR_LEAK_TOL:
+        action = _sector_action(g.kind, len(g.qubits), g.angles)
+        if action is None:
             raise ValueError(f"gate {g.kind} on {g.qubits} leaves the particle-number sector")
         idx = sum(((basis >> q) & 1) << j for j, q in enumerate(g.qubits))
-        diag, off = u.diagonal()[idx], off[idx]
+        diag, off = action[0][idx], action[1][idx]
         if step and not off.any():  # a diagonal gate
             prev_diag, prev_off, partner = step.pop()
             diag, off = diag * prev_diag, diag * prev_off
         else:
             # where off is 0 the flipped state is outside the sector: any partner will do
             partner = np.searchsorted(basis, basis ^ sum(1 << q for q in g.qubits))
-            partner = np.minimum(partner, len(basis) - 1) if off.any() else None
+            partner = np.minimum(partner, len(basis) - 1)
         step.append((diag, off, partner))
     return step
 
 
 @functools.lru_cache
-def _local_unitary(kind: str, k: int, angles: tuple[float, ...]) -> np.ndarray:
-    """circuit_unitary of one gate on qubits 0..k-1, read-only: compiles share it."""
+def _sector_action(kind: str, k: int, angles: tuple[float, ...]):
+    """Read-only local (diag, off) of one gate's circuit_unitary u on qubits 0..k-1,
+    shared by compiles.  Within one particle number a gate may only keep a local state
+    l or flip all its qubits (01 <-> 10, to 2**k - 1 - l): off is u's anti-diagonal
+    where the flip keeps the weight.  None if any other entry exceeds SECTOR_LEAK_TOL."""
     u = circuit_unitary(Circuit(k, [Gate(kind, tuple(range(k)), angles)]))
-    u.flags.writeable = False
-    return u
+    weight = np.array([bin(v).count("1") for v in range(2**k)])
+    off = np.where(weight == weight[::-1], u[:, ::-1].diagonal(), 0)
+    if np.abs(u - np.diag(u.diagonal()) - np.diag(off)[:, ::-1]).max() > SECTOR_LEAK_TOL:
+        return None
+    off.flags.writeable = False
+    return u.diagonal(), off  # a read-only view
 
 
 def apply_sector_step(step: SectorStep, amps: np.ndarray) -> np.ndarray:
     """Apply a compiled sector step to sector amplitudes; returns a new array."""
     for diag, off, partner in step:
-        amps = diag * amps if partner is None else diag * amps + off * amps[partner]
+        amps = diag * amps + off * amps[partner]
     return amps
 
 

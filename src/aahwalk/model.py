@@ -25,12 +25,13 @@ MAX_INDEX_SITES = 63
 class ModelParams:
     """Hamiltonian parameters.
 
-    J sets the energy scale (time is measured in 1/J).  lambda_J is the
-    dimensionless hopping-modulation strength, T_period the integer
-    modulation period, phi_J the modulation phase in radians and V the
-    nearest-neighbor interaction in units of J.  flavor selects between
-    the ZZ-only spin Hamiltonian ("paper-literal") and the faithful
-    number-operator interaction ("exact-jw").
+    J scales the hoppings only: every bond coefficient is proportional to
+    it.  V, the nearest-neighbor interaction, and time are absolute, not in
+    units of J or 1/J (J = 0 with V != 0 is a hop-free chain).  lambda_J is
+    the dimensionless hopping-modulation strength, T_period the integer
+    modulation period and phi_J the modulation phase in radians.  flavor
+    selects between the ZZ-only spin Hamiltonian ("paper-literal") and the
+    faithful number-operator interaction ("exact-jw").
     """
 
     J: float = 1.0

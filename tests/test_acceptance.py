@@ -14,12 +14,11 @@ from scipy.linalg import expm
 
 from aahwalk.circuit import (
     KIND_CNOT,
-    circuit_unitary,
     lower,
     trotter_circuit,
     two_qubit_block,
 )
-from aahwalk.engine import apply_circuit, counts_expectation_z, sample_counts
+from aahwalk.engine import apply_circuit, circuit_unitary, counts_expectation_z, sample_counts
 from aahwalk.exact import (
     exact_evolve,
     prepare_fock_state,

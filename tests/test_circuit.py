@@ -8,13 +8,12 @@ from aahwalk.circuit import (
     KIND_CNOT,
     KIND_TBLOCK,
     KIND_X,
-    circuit_unitary,
     export_qasm,
     lower,
     trotter_circuit,
     two_qubit_block,
 )
-from aahwalk.engine import apply_circuit
+from aahwalk.engine import apply_circuit, circuit_unitary
 from aahwalk.errors import LoweringRequiredError, ResourceLimitError
 from aahwalk.exact import exact_evolve, prepare_fock_state
 from aahwalk.experiment import hamiltonian_matrix

@@ -9,16 +9,16 @@ from aahwalk.circuit import (
     KIND_TBLOCK,
     KIND_X,
     SCHEMES,
-    circuit_unitary,
     lower,
     trotter_circuit,
 )
 from aahwalk.engine import (
-    _local_unitary,
+    _sector_action,
     apply_circuit,
     apply_gate,
     apply_sector_step,
     bitstring_to_index,
+    circuit_unitary,
     compile_sector_step,
     counts_expectation_z,
     expectation_z,
@@ -154,9 +154,12 @@ def test_sample_counts_rejects_zero_shots():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("flavor", FLAVORS)
-def test_sector_step_matches_apply_circuit(flavor, scheme):
-    p = ModelParams(lambda_J=0.9, phi_J=0.3, V=2.0, L=8, flavor=flavor)
+@pytest.mark.parametrize("flavor, lambda_J",  # lambda_J = 1 with phi_J = 0: J_0 = 0 exactly
+                         [(f, lam) for lam in (0.9, 1.0) for f in FLAVORS],
+                         ids=[*FLAVORS, *(f"{f}-dimerized" for f in FLAVORS)])
+def test_sector_step_matches_apply_circuit(flavor, lambda_J, scheme):
+    p = ModelParams(lambda_J=lambda_J, phi_J=0.3 if lambda_J < 1 else 0.0, V=2.0, L=8,
+                    flavor=flavor)
     basis = sector_basis(p.L, 2)
     circuit = trotter_circuit(p, 0.3, 1, scheme)
     step, lowered = compile_sector_step(circuit, basis), lower(circuit)
@@ -171,15 +174,18 @@ def test_sector_step_matches_apply_circuit(flavor, scheme):
 def test_sector_step_shares_read_only_gate_unitaries():
     p = ModelParams(lambda_J=0.9, V=2.0, L=8, flavor="exact-jw")
     circuit = trotter_circuit(p, 0.3, 1, "sequential")  # 7 TBLOCKs, each with 2 RZs
-    _local_unitary.cache_clear()
+    _sector_action.cache_clear()
     compile_sector_step(circuit, sector_basis(p.L, 2))
-    info = _local_unitary.cache_info()
+    info = _sector_action.cache_info()
     # period 2: the bonds alternate between two TBLOCKs, and every RZ has one angle
     assert (info.misses, info.hits) == (3, len(circuit.gates) - 3)
     g = circuit.gates[0]
-    u = _local_unitary(g.kind, 2, g.angles)
-    assert not u.flags.writeable
-    assert np.array_equal(u, circuit_unitary(Circuit(2, [Gate(g.kind, (0, 1), g.angles)])))
+    diag, off = _sector_action(g.kind, 2, g.angles)
+    assert not diag.flags.writeable and not off.flags.writeable
+    u = circuit_unitary(Circuit(2, [Gate(g.kind, (0, 1), g.angles)]))
+    # |00> and |11> keep their state; |01> <-> |10> is the anti-diagonal
+    assert np.array_equal(diag, u.diagonal())
+    assert np.array_equal(off, [0, u[1, 2], u[2, 1], 0])
 
 
 def test_sector_step_folds_diagonal_gates():
@@ -198,13 +204,16 @@ def test_sector_step_folds_diagonal_gates():
     # a diagonal gate with no entry before it is an entry of its own
     rz, block = circuit.gates[1], circuit.gates[0]
     step = compile_sector_step(Circuit(p.L, [rz, block, rz]), basis)
-    assert [partner is None for _, _, partner in step] == [True, False]
+    assert len(step) == 2 and not step[0][1].any() and step[1][1].any()
 
 
 def test_sector_step_rejects_number_changing_gate():
     basis = sector_basis(3, 1)
     with pytest.raises(ValueError, match="particle-number sector"):
         compile_sector_step(Circuit(3, [Gate(KIND_RY, (1,), (0.3,))]), basis)
+    # the same gate again, now a cached action, on other qubits: the error names them
+    with pytest.raises(ValueError, match=r"RY on \(2,\) leaves the particle-number sector"):
+        compile_sector_step(Circuit(3, [Gate(KIND_RY, (2,), (0.3,))]), basis)
     with pytest.raises(ValueError):
         apply_circuit(StateVector(np.ones(3, dtype=complex), 3, basis), Circuit(3))
 

@@ -1,11 +1,12 @@
 """The package's runtime dependencies: the standard library and numpy only. scipy,
-hypothesis and pytest are test-only. Imports kept only for the benchmark's tracer name
-a call that the tracer wraps, every other import is read, and every public name of the
-package has a reader."""
+hypothesis and pytest are test-only. Its modules import one another without a cycle.
+Imports kept only for the benchmark's tracer name a call that the tracer wraps, every
+other import is read, and every public name of the package has a reader."""
 
 import ast
 import pathlib
 import sys
+from graphlib import TopologicalSorter
 
 import aahwalk
 
@@ -28,6 +29,24 @@ def test_src_imports_only_stdlib_and_numpy():
                 imported.setdefault(name.partition(".")[0], set()).add(path.name)
     assert "numpy" in imported
     assert {m: files for m, files in imported.items() if m not in RUNTIME_MODULES} == {}
+
+
+def test_src_relative_imports_are_acyclic():
+    """The relative imports between src/aahwalk modules, at module level and inside
+    functions alike (an import deferred into a function only hides a cycle), form an
+    acyclic graph."""
+    package = pathlib.Path(aahwalk.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph: dict[str, set[str]] = {}  # module -> the package modules it imports
+    for module in sorted(modules):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        # `from .m import x` reads m; `from . import x` reads module x, or x of __init__
+        graph[module] = {node.module or (alias.name if alias.name in modules else "__init__")
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level == 1
+                         for alias in node.names}
+    assert {"circuit", "exact"} <= graph["engine"] and "__init__" in graph["experiment"]
+    tuple(TopologicalSorter(graph).static_order())  # raises a CycleError naming the cycle
 
 
 def _traced_attributes() -> set[tuple[str, str]]:
