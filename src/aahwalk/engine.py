@@ -137,10 +137,11 @@ def _sector_action(kind: str, k: int, angles: tuple[float, ...]):
     """Read-only local (diag, off) of one gate's circuit_unitary u on qubits 0..k-1,
     shared by compiles.  Within one particle number a gate may only keep a local state
     l or flip all its qubits (01 <-> 10, to 2**k - 1 - l): off is u's anti-diagonal
-    where the flip keeps the weight.  None if any other entry exceeds SECTOR_LEAK_TOL."""
+    where the flip keeps the weight and the entry exceeds SECTOR_LEAK_TOL, so that a cut
+    bond's block is diagonal.  None if any other entry exceeds SECTOR_LEAK_TOL."""
     u = circuit_unitary(Circuit(k, [Gate(kind, tuple(range(k)), angles)]))
-    weight = np.array([bin(v).count("1") for v in range(2**k)])
-    off = np.where(weight == weight[::-1], u[:, ::-1].diagonal(), 0)
+    weight, anti = np.array([bin(v).count("1") for v in range(2**k)]), u[:, ::-1].diagonal()
+    off = np.where((weight == weight[::-1]) & (np.abs(anti) > SECTOR_LEAK_TOL), anti, 0)
     if np.abs(u - np.diag(u.diagonal()) - np.diag(off)[:, ::-1]).max() > SECTOR_LEAK_TOL:
         return None
     off.flags.writeable = False

@@ -21,7 +21,7 @@ from .engine import apply_circuit, sample_counts  # noqa: F401  bound for the be
 from .errors import ConfigError, ResourceLimitError
 from .exact import MAX_SECTOR_STATES, sector_basis, sector_hamiltonian, site_bits, spectrum
 from .exact import prepare_fock_state  # noqa: F401  bound for the benchmark's tracer
-from .model import FLAVOR_PAPER_LITERAL, ModelParams, is_finite, is_number
+from .model import FLAVOR_PAPER_LITERAL, ModelParams, bond_profile, is_finite, is_number
 from .noise import ReadoutModel, mitigate_z, readout_z
 from .noise import corrupt  # noqa: F401  bound for the benchmark's tracer
 from .observables import (SOURCE_EXACT, SOURCE_TROTTER_EXACT, SOURCE_TROTTER_MITIGATED,
@@ -53,12 +53,6 @@ class ExperimentConfig:
         """The whole contract of a config: the type of each field, then its value (ConfigError),
         then the size of the arrays a run of it allocates (ResourceLimitError)."""
         occ, seq = self.initial_occupations, (list, tuple)
-        if isinstance(self.readout, ReadoutModel):
-            for key, v in (("p01", self.readout.p01), ("p10", self.readout.p10)):
-                rates = v.tolist() if isinstance(v, np.ndarray) else v
-                if not all(map(is_number, rates if isinstance(rates, seq) else [rates])):
-                    raise ConfigError(f"readout: {key}: expected a number or a list of numbers,"
-                                      f" got {v!r}")
         for name, ok, what in (
                 ("model", isinstance(self.model, ModelParams), "a ModelParams"),
                 ("readout", self.readout is None or isinstance(self.readout, ReadoutModel),
@@ -102,6 +96,11 @@ class ExperimentConfig:
         for name in self.outputs:
             if name not in OUTPUT_NAMES:
                 raise ConfigError(f"outputs: unknown observable {name!r}")
+        # Gershgorin: every |E| is at most a row sum of |H|, for either flavor at most this
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars: inf, not a warning
+            bound = sum(map(abs, bond_profile(self.model))) + abs(float(self.model.V)) * (L - 1)
+            if not math.isfinite(bound * float(self.t_max)):
+                raise ConfigError(f"model: energies times t_max={self.t_max} overflow a float")
 
         # The (steps+1) x L <Z> tables (x L for correlations) and the shots x L readout draws of
         # a step, made 2**16 at a time, stay within the largest U the sector guard admits.
@@ -180,11 +179,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     config.validate()
     params, L, n_particles = config.model, config.model.L, len(config.initial_occupations)
     basis = sector_basis(L, n_particles)
-    with np.errstate(over="ignore", invalid="ignore"):  # Gershgorin: |E| <= max row sum |H|
-        H = sector_hamiltonian(params, basis)
-        if not np.isfinite(np.abs(H).sum(axis=1).max() * config.t_max):
-            raise ConfigError(f"model: energies times t_max={config.t_max} overflow a float")
-    decomp = spectrum(H)
+    decomp = spectrum(sector_hamiltonian(params, basis))
     start = np.searchsorted(basis, sum(1 << s for s in config.initial_occupations))
     U, c0 = decomp.eigenvectors, decomp.eigenvectors[start]  # U^dag e_start; the block is real
     dt = float(config.t_max / config.steps)  # a float also for numpy scalars, as CSV prints it

@@ -5,10 +5,10 @@ with probability p01 and a true 1 as 0 with probability p10.  The
 per-qubit confusion matrix A = [[1-p01, p10], [p01, 1-p10]] is
 column-stochastic and invertible whenever p01 + p10 < 1.
 
-One flip finder implements the draw contract: one `np.random.default_rng(seed)`; one
-`random()` double per (shot, site), row-major, shots in the stable order of their site-0-first
-bit string; a bit flips when its draw is below its recorded value's rate; zero rates draw nothing.
-`corrupt` reduces the flips to a table and `readout_z` basis-order counts to their <Z> row.
+One flip finder implements the draw contract: one `np.random.default_rng(seed)`, and one
+`random()` double per (shot, site), row-major, with shots in ascending basis index; a bit flips
+when its draw is below its recorded value's rate; zero rates draw nothing.  `corrupt` reduces the
+flips to a table and `readout_z` basis-order counts to their <Z> row.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .engine import CountsTable, z_sum, z_vector
 from .engine import counts_expectation_z  # noqa: F401  bound for the benchmark's tracer
 from .exact import site_bits
 from .errors import ResourceLimitError
+from .model import is_number
 
 MAX_FULL_MITIGATION_SITES = 12
 _CHUNK_DRAWS = 2**16  # the readout draws at most this many doubles at a time
@@ -34,6 +35,12 @@ class ReadoutModel:
     p10: float | tuple[float, ...]
 
     def rates(self, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """(p01, p10) at each of L sites: TypeError unless each is a number or a list of
+        numbers, ValueError unless each lies in [0, 0.5)."""
+        for key, v in (("p01", self.p01), ("p10", self.p10)):
+            listed = v.tolist() if isinstance(v, np.ndarray) else v
+            if not all(map(is_number, listed if isinstance(listed, (list, tuple)) else [listed])):
+                raise TypeError(f"{key}: expected a number or a list of numbers, got {v!r}")
         p01 = np.broadcast_to(np.asarray(self.p01, dtype=float), (L,)).copy()
         p10 = np.broadcast_to(np.asarray(self.p10, dtype=float), (L,)).copy()
         if not np.all((p01 >= 0) & (p01 < 0.5) & (p10 >= 0) & (p10 < 0.5)):
@@ -58,15 +65,9 @@ def _flips(rows: np.ndarray, kept: np.ndarray, rate: np.ndarray, seed):
         yield shot, site, row
 
 
-def _draw_order(indices: np.ndarray, L: int) -> np.ndarray:
-    """The draw contract's shot order: stable, by each index's site-0-first bit string."""
-    return np.argsort((1 << np.arange(L)[::-1]) @ site_bits(indices, L), kind="stable")
-
-
 def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
     """Flip each recorded bit independently; shot total is preserved."""
-    order = _draw_order(counts.indices, counts.L)
-    rows, kept = counts.indices[order].astype(np.int64), counts.counts[order].astype(np.int64)
+    rows, kept = counts.indices.astype(np.int64), counts.counts.astype(np.int64)
     tables = [(rows, kept)]  # a shot with no flip keeps its index
     for shot, site, row in _flips(rows, kept.copy(), np.concatenate(model.rates(counts.L)), seed):
         start = np.flatnonzero(np.diff(shot, prepend=-1))  # each flipped shot's first flip
@@ -81,13 +82,13 @@ def corrupt(counts: CountsTable, model: ReadoutModel, seed) -> CountsTable:
 def readout_z(model: ReadoutModel | None, basis: np.ndarray, L: int):
     """z(kept, seed): the <Z> row of kept[k] shots of ascending basis[k] read out through model
     (None: zero rates); bit for bit z_vector(corrupt(...)) of the table of kept's nonzero rows."""
-    order, rate = _draw_order(basis, L), np.concatenate((model or ReadoutModel(0, 0)).rates(L))
-    rows, signs = basis[order], 1 - 2 * site_bits(basis, L)
+    rate = np.concatenate((model or ReadoutModel(0, 0)).rates(L))
+    signs = 1 - 2 * site_bits(basis, L)
 
     def z(kept: np.ndarray, seed) -> np.ndarray:
         n = np.zeros(2 * L, np.int64)  # n[site + L * bit]: flips, each moving a sum by 4 * bit - 2
-        for _, site, row in _flips(rows, kept[order], rate, seed):  # a zero-count row draws nothing
-            n += np.bincount(site + L * ((rows[row] >> site) & 1), minlength=2 * L)
+        for _, site, row in _flips(basis, kept, rate, seed):  # a zero-count row draws nothing
+            n += np.bincount(site + L * ((basis[row] >> site) & 1), minlength=2 * L)
         return (z_sum(kept, signs) - 2 * (n[:L] - n[L:])) / kept.sum()
     return z
 

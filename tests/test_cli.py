@@ -157,6 +157,22 @@ def test_nonfinite_model_exits_2(tmp_path, capsys, field, value):
     assert err.startswith(f"config error: model: {field} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["run"], ["spectrum"], ["spectrum", "--single-particle"],
+                                     ["export-qasm"]],
+                         ids=["run", "spectrum", "spectrum-single-particle", "export-qasm"])
+@pytest.mark.parametrize("over", [{"model": {**_MODEL, "J": 1e308}},
+                                  {"model": {**_MODEL, "J": 1e308, "lambda_J": 1e308}},
+                                  {"t_max": 1e308}], ids=["J", "J-lambda_J", "t_max"])
+def test_energy_overflow_exits_2_for_every_command(tmp_path, capsys, command, over):
+    # Energies times t_max beyond the float range: NaN eigenvalues, an eigh that does not
+    # converge or an inf angle, unless the config contract refuses them for every command.
+    cfg, out = _write_config(tmp_path, **over), tmp_path / "out"
+    assert main([command[0], cfg, *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: energies times t_max=") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("readout", [
     {"p01": 0.02},
     {"p01": 0.7, "p10": 0.02},

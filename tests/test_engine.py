@@ -207,6 +207,15 @@ def test_sector_step_folds_diagonal_gates():
     assert len(step) == 2 and not step[0][1].any() and step[1][1].any()
 
 
+def test_sector_step_folds_cut_bonds():
+    """lambda_J = 1 cuts every other bond (J_b = 0): its TBLOCK is diagonal up to rounding,
+    so it folds into the entry before it, and an L=8 sequential step of 7 bonds has 4."""
+    p = ModelParams(lambda_J=1.0, V=2.0, L=8)
+    step = compile_sector_step(trotter_circuit(p, 0.3, 1, "sequential"), sector_basis(p.L, 2))
+    assert len(step) == 4
+    assert not step[0][1].any() and all(off.any() for _, off, _ in step[1:])
+
+
 def test_sector_step_rejects_number_changing_gate():
     basis = sector_basis(3, 1)
     with pytest.raises(ValueError, match="particle-number sector"):

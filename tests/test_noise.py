@@ -14,6 +14,7 @@ from aahwalk.noise import (
     corrupt,
     mitigate_counts_full,
     mitigate_expectation_z,
+    mitigate_z,
     mitigate_z_vector,
     readout_z,
 )
@@ -38,11 +39,8 @@ def _corrupt_per_shot(counts, model, seed):
     rng = np.random.default_rng(seed)
     sites = np.arange(L)
     bits = site_bits(counts.indices, L).T.astype(np.uint8)
-    # Shots go in order of the site-0-first bit string (site 0 most
-    # significant), which fixes which random draw each shot's flips use.
-    order = np.argsort(bits @ (1 << sites[::-1]), kind="stable")
     # Expand to a shots x L bit array so flips are independent per shot.
-    bits = np.repeat(bits[order], counts.counts[order], axis=0)
+    bits = np.repeat(bits, counts.counts, axis=0)
     flip_prob = np.where(bits == 0, p01[None, :], p10[None, :])
     bits ^= (rng.random(bits.shape) < flip_prob).astype(np.uint8)
     indices, out = np.unique(bits @ (1 << sites), return_counts=True)
@@ -171,6 +169,21 @@ def test_rates_broadcast_and_validate():
         ReadoutModel(0.5, 0.0).rates(2)
     with pytest.raises(ValueError):
         ReadoutModel(-0.1, 0.0).rates(2)
+
+
+@pytest.mark.parametrize("model", [ReadoutModel("0.1", 0.02), ReadoutModel(False, 0.02),
+                                   ReadoutModel(("0.1", "0.2"), 0.0)],
+                         ids=["string", "bool", "string-list"])
+def test_readers_of_the_rates_refuse_non_numbers(model):
+    # The rates' type rule lives in rates(), so every reader refuses what a config refuses.
+    L = 2
+    counts = _table(10, {"10": 6, "01": 4}, L)
+    with pytest.raises(TypeError, match="expected a number or a list of numbers"):
+        corrupt(counts, model, seed=1)
+    with pytest.raises(TypeError, match="expected a number or a list of numbers"):
+        readout_z(model, sector_basis(L, 1), L)
+    with pytest.raises(TypeError, match="expected a number or a list of numbers"):
+        mitigate_z(np.zeros(L), model)
 
 
 def test_corrupt_zero_noise_is_identity():
